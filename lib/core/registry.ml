@@ -11,50 +11,48 @@
    A cache-disabled engine makes [all_in] behave like [all], which is what
    the cache-soundness tests compare. *)
 
-let all : Semantics.t list =
+(* The one registry table: each semantics' direct record beside its
+   engine-routed constructor, in registry order. *)
+let table : (Semantics.t * (Ddb_engine.Engine.t -> Semantics.t)) list =
   [
-    Cwa.semantics;
-    Gcwa.semantics;
-    Ddr.semantics;
-    Pws.semantics;
-    Egcwa.semantics;
-    Ccwa.semantics;
-    Ecwa.semantics;
-    Circ.semantics;
-    Icwa.semantics;
-    Perf.semantics;
-    Dsm.semantics;
-    Pdsm.semantics;
+    (Cwa.semantics, Cwa.semantics_in);
+    (Gcwa.semantics, Gcwa.semantics_in);
+    (Ddr.semantics, Ddr.semantics_in);
+    (Pws.semantics, Pws.semantics_in);
+    (Egcwa.semantics, Egcwa.semantics_in);
+    (Ccwa.semantics, Ccwa.semantics_in);
+    (Ecwa.semantics, Ecwa.semantics_in);
+    (Circ.semantics, Circ.semantics_in);
+    (Icwa.semantics, Icwa.semantics_in);
+    (Perf.semantics, Perf.semantics_in);
+    (Dsm.semantics, Dsm.semantics_in);
+    (Pdsm.semantics, Pdsm.semantics_in);
   ]
+
+let all = List.map fst table
 
 (* Engine-routed records additionally go through the fragment fast-path
    dispatcher: tractable (semantics, problem, fragment) cells are answered
    by the polynomial algorithms of [Ddb_frag], everything else falls back
-   to the generic oracle procedures below.  [Engine.set_fastpath] (or
+   to the generic oracle procedures.  [Engine.set_fastpath] (or
    [create ~fastpath:false]) turns the dispatcher off, which restores the
    pre-dispatch behaviour exactly. *)
-let all_in eng : Semantics.t list =
-  List.map (Fastpath.wrap eng)
-    [
-      Cwa.semantics_in eng;
-      Gcwa.semantics_in eng;
-      Ddr.semantics_in eng;
-      Pws.semantics_in eng;
-      Egcwa.semantics_in eng;
-      Ccwa.semantics_in eng;
-      Ecwa.semantics_in eng;
-      Circ.semantics_in eng;
-      Icwa.semantics_in eng;
-      Perf.semantics_in eng;
-      Dsm.semantics_in eng;
-      Pdsm.semantics_in eng;
-    ]
+let routed eng (_, semantics_in) = Fastpath.wrap eng (semantics_in eng)
 
-let find_among sems name =
-  List.find_opt (fun (s : Semantics.t) -> String.equal s.Semantics.name name) sems
+let all_in eng = List.map (routed eng) table
 
-let find name = find_among all name
-let find_in eng name = find_among (all_in eng) name
+let find name =
+  List.find_opt
+    (fun (s : Semantics.t) -> String.equal s.Semantics.name name)
+    all
+
+(* Builds and wraps the named record only: a warm query costs one record,
+   not twelve. *)
+let find_in eng name =
+  List.find_opt
+    (fun ((s : Semantics.t), _) -> String.equal s.Semantics.name name)
+    table
+  |> Option.map (routed eng)
 
 let names = List.map (fun (s : Semantics.t) -> s.Semantics.name) all
 
@@ -65,10 +63,9 @@ let applicable_names db =
     all
 
 (* Batch entry points: one-shot evaluation by name on a caller-supplied
-   engine.  The domain-parallel batch layer calls these (or the records
-   from [all_in], which it caches per worker shard) on per-domain engines;
-   they are also the sequential baseline its determinism tests compare
-   against. *)
+   engine.  The domain-parallel batch layer resolves names the same way
+   ([find_in]) on its per-domain engines; these are also the sequential
+   baseline its determinism tests compare against. *)
 
 let in_exn eng name =
   match find_in eng name with

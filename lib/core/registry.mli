@@ -10,7 +10,14 @@ val all_in : Ddb_engine.Engine.t -> Semantics.t list
     (the cache-soundness property the test suite checks). *)
 
 val find : string -> Semantics.t option
+
 val find_in : Ddb_engine.Engine.t -> string -> Semantics.t option
+(** The named record of {!all_in}, built and fast-path-wrapped on its own:
+    it answers every query exactly as that record does. *)
+
+val in_exn : Ddb_engine.Engine.t -> string -> Semantics.t
+(** {!find_in}, raising [Invalid_argument] on an unknown name. *)
+
 val names : string list
 
 val applicable_names : Ddb_db.Db.t -> string list

@@ -7,7 +7,21 @@ open Ddb_sat
    DDDB; with stratified negation a DSDB.  "Positive DDB" (the Table 1
    setting) additionally excludes integrity clauses. *)
 
-type t = { vocab : Vocab.t; clauses : Clause.t list; num_vars : int }
+(* The canonical clause form: packed literals sorted within each clause,
+   clauses sorted and deduplicated, with a hash of the whole structure.
+   Syntactic permutations of the same clause set have equal forms. *)
+type canonical = { form : int list list; hash : int }
+
+type t = {
+  vocab : Vocab.t;
+  clauses : Clause.t list;
+  num_vars : int;
+  (* The canonical form, computed on first use.  Published through an
+     atomic cell so domains sharing one database race benignly: every
+     reader ends up with the same physical value.  [with_universe] copies
+     share the cell; [make] starts a fresh one. *)
+  canon : canonical option Atomic.t;
+}
 
 let make ?vocab clauses =
   let vocab =
@@ -17,7 +31,7 @@ let make ?vocab clauses =
     List.fold_left (fun acc c -> max acc (Clause.max_atom c)) (-1) clauses
   in
   let num_vars = max (Vocab.size vocab) (max_clause_atom + 1) in
-  { vocab; clauses; num_vars }
+  { vocab; clauses; num_vars; canon = Atomic.make None }
 
 let of_string src =
   let vocab = Vocab.create () in
@@ -63,6 +77,37 @@ let is_normal_program t =
 let satisfied_by m t = List.for_all (Clause.satisfied_by m) t.clauses
 
 let to_cnf t = List.map Clause.to_lits t.clauses
+
+(* --- canonical form --- *)
+
+let hash_form form =
+  List.fold_left
+    (fun h c -> List.fold_left (fun h l -> (h * 31) + l) ((h * 37) + 1) c)
+    17 form
+  land max_int
+
+let compute_canonical t =
+  let clause lits =
+    List.sort_uniq Int.compare (List.map Cnf.plit_of_lit lits)
+  in
+  let form =
+    List.sort_uniq (List.compare Int.compare) (List.map clause (to_cnf t))
+  in
+  { form; hash = hash_form form }
+
+let canonical t =
+  match Atomic.get t.canon with
+  | Some c -> c
+  | None ->
+    ignore (Atomic.compare_and_set t.canon None (Some (compute_canonical t)));
+    Option.get (Atomic.get t.canon)
+
+let canonical_form c = c.form
+let canonical_hash c = c.hash
+
+let canonical_equal a b =
+  a == b
+  || a.hash = b.hash && List.equal (List.equal Int.equal) a.form b.form
 
 let theory t = Minimal.theory ~num_vars:t.num_vars (to_cnf t)
 

@@ -39,6 +39,7 @@ val is_normal_program : t -> bool
 
 val satisfied_by : Interp.t -> t -> bool
 val to_cnf : t -> Lit.t list list
+
 val theory : t -> Minimal.theory
 val solver : t -> Solver.t
 val atoms : t -> int list
@@ -47,3 +48,25 @@ val occurring_atoms : t -> Interp.t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** {1 Canonical form}
+
+    A database's clause set up to literal order, clause order and
+    duplication.  It is computed once per database value, on first use,
+    and shared by the copies {!with_universe} makes; {!make} and
+    {!add_clauses} start a fresh one.  Domains that share a database may
+    force it concurrently: they all obtain the same physical value. *)
+
+type canonical
+
+val canonical : t -> canonical
+
+val canonical_form : canonical -> int list list
+(** Packed literals ({!Ddb_sat.Cnf.plit_of_lit}) sorted within each
+    clause; clauses sorted and deduplicated. *)
+
+val canonical_hash : canonical -> int
+(** Non-negative hash of the whole form. *)
+
+val canonical_equal : canonical -> canonical -> bool
+(** Equality of forms; constant time on physically equal values. *)

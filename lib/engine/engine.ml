@@ -12,7 +12,10 @@ open Ddb_db
 
      - theories are *canonicalized* (clauses sorted and deduplicated) and
        hash-consed into integer keys, so syntactically shuffled copies of
-       the same database share one cache line;
+       the same database share one cache line.  A database value computes
+       its canonical form once ({!Db.canonical}); after that a key lookup
+       is a hash probe whose equality test short-cuts on physical
+       equality, so repeat queries on one database never walk its clauses;
      - each theory key fronts a single incremental {!Solver.t}; entailment
        and consistency queries run on it under assumptions (closed-world
        literals, the Tseitin output of a negated query) instead of
@@ -77,20 +80,15 @@ let add_snapshot c (d : Stats.snapshot) dt =
 (* ------------------------------------------------------------------ *)
 (* Canonical theory keys                                               *)
 
-(* A theory is keyed by its universe size and its canonicalized clause set:
-   packed literals sorted within each clause, clauses sorted and deduped.
-   Syntactic permutations of the same database therefore share a key. *)
-type raw_key = int * int list list
+(* A theory is keyed by its universe size and its canonical clause form
+   (see {!Db.canonical}), so syntactic permutations of the same database
+   share a key.  The form carries its precomputed hash. *)
+module Keys = Hashtbl.Make (struct
+  type t = int * Db.canonical
 
-let canonical_of_db db : raw_key =
-  let clause lits =
-    List.sort_uniq Int.compare (List.map Cnf.plit_of_lit lits)
-  in
-  let clauses =
-    List.sort_uniq (List.compare Int.compare)
-      (List.map clause (Db.to_cnf db))
-  in
-  (Db.num_vars db, clauses)
+  let equal (n, c) (n', c') = n = n' && Db.canonical_equal c c'
+  let hash (n, c) = (Db.canonical_hash c * 31) + n
+end)
 
 (* Per-theory shared solver: the theory clauses plus, over time, Tseitin
    definitions for queried formulas (activated only by assuming their
@@ -137,7 +135,7 @@ type t = {
   total : counters;
   per_scope : (string, counters) Hashtbl.t;
   mutable scope : (string * counters) option;
-  keys : (raw_key, int) Hashtbl.t;
+  keys : int Keys.t;
   mutable next_key : int;
   solvers : (int, theory_state) Hashtbl.t;
   bools : (qkey, bool) Hashtbl.t;
@@ -157,7 +155,7 @@ let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
     total = fresh_counters ();
     per_scope = Hashtbl.create 16;
     scope = None;
-    keys = Hashtbl.create 64;
+    keys = Keys.create 64;
     next_key = 0;
     solvers = Hashtbl.create 64;
     bools = Hashtbl.create 256;
@@ -184,7 +182,7 @@ let reset t =
   Ddb_obs.Metrics.clear t.metrics;
   Hashtbl.reset t.per_scope;
   t.scope <- None;
-  Hashtbl.reset t.keys;
+  Keys.reset t.keys;
   t.next_key <- 0;
   Hashtbl.reset t.solvers;
   Hashtbl.reset t.bools;
@@ -207,13 +205,13 @@ let reset t =
   c.time_ms <- 0.
 
 let theory_key t db =
-  let raw = canonical_of_db db in
-  match Hashtbl.find_opt t.keys raw with
+  let raw = (Db.num_vars db, Db.canonical db) in
+  match Keys.find_opt t.keys raw with
   | Some id -> id
   | None ->
     let id = t.next_key in
     t.next_key <- id + 1;
-    Hashtbl.add t.keys raw id;
+    Keys.add t.keys raw id;
     id
 
 let theory_state t db key =

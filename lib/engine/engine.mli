@@ -5,8 +5,9 @@ open Ddb_db
 
     All ten semantics of the paper bottom out in the same primitive oracle
     queries (satisfiability, minimal-model checks, support sets,
-    minimal-model enumeration).  An {!t} canonicalizes theories into
-    hash-consed keys, fronts each with a single incremental assumption-based
+    minimal-model enumeration).  An {!t} hash-conses each database's
+    canonical form (computed once per {!Db.t} value) into an integer key,
+    fronts each key with a single incremental assumption-based
     {!Solver.t}, memoizes the expensive oracles, and instruments everything
     (oracle calls, cache hits/misses, SAT effort, wall time — attributable
     per semantics via {!scoped}).
@@ -48,9 +49,13 @@ val reset : t -> unit
 (** Drop all caches, shared solvers and statistics. *)
 
 val theory_key : t -> Db.t -> int
-(** Hash-consed id of the database's canonicalized clause set.  Two
-    databases with the same universe and the same clauses (up to literal
-    and clause order and duplication) share a key. *)
+(** Hash-consed id of the database's universe size and canonical clause
+    form ({!Db.canonical}).  Two databases with the same universe and the
+    same clauses (up to literal and clause order and duplication) share a
+    key.  The form is computed once per database value (and shared by its
+    {!Db.with_universe} copies); every later call is a hash probe that
+    compares physical equality first, so it never walks the clauses of a
+    database it has seen. *)
 
 (** {1 Oracle operations}
 

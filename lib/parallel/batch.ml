@@ -14,15 +14,10 @@ module Engine = Ddb_engine.Engine
    quantifies: merged cache hits drop as jobs grow, merged oracle answers
    do not change.
 
-   The semantics records ([Registry.all_in engine]) are built once per
-   shard at creation; sweeps only look them up by name. *)
+   Tasks resolve semantics by name on their worker's engine
+   ([Registry.in_exn]), exactly like the sequential path. *)
 
-type t = {
-  pool : Pool.t;
-  engines : Engine.t array;
-  sems : (string * Semantics.t) list array; (* per worker, registry order *)
-  pinned : bool;
-}
+type t = { pool : Pool.t; engines : Engine.t array; pinned : bool }
 
 let create ?jobs ?(cache = true) ?(fastpath = true) ?(pinned = false)
     ?(profile = false) () =
@@ -31,15 +26,7 @@ let create ?jobs ?(cache = true) ?(fastpath = true) ?(pinned = false)
     Array.init (Pool.jobs pool) (fun _ ->
         Engine.create ~cache ~fastpath ~profile ())
   in
-  let sems =
-    Array.map
-      (fun eng ->
-        List.map
-          (fun (s : Semantics.t) -> (s.Semantics.name, s))
-          (Registry.all_in eng))
-      engines
-  in
-  { pool; engines; sems; pinned }
+  { pool; engines; pinned }
 
 let jobs t = Pool.jobs t.pool
 let engines t = Array.to_list t.engines
@@ -58,10 +45,7 @@ let map t ?cancel_on_error ?chunk_size f xs =
   if t.pinned then Parallel.map_pinned_in t.pool ?cancel_on_error f xs
   else Parallel.map_chunked_in t.pool ?cancel_on_error ?chunk_size f xs
 
-let sem_for t ~worker name =
-  match List.assoc_opt name t.sems.(worker) with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Batch: unknown semantics %S" name)
+let sem_for t ~worker name = Registry.in_exn t.engines.(worker) name
 
 let default_sems db = function
   | Some names -> names

@@ -15,7 +15,9 @@ open Ddb_db
     property in [test/test_parallel.ml].
 
     Databases are shared across workers read-only; do not grow a database's
-    vocabulary concurrently with a sweep. *)
+    vocabulary concurrently with a sweep.  Workers may force a shared
+    database's canonical form ({!Ddb_db.Db.canonical}) at once: it is
+    published atomically. *)
 
 type t
 

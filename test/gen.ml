@@ -100,6 +100,17 @@ let stratified_db rand ~num_vars ~num_clauses ~layers =
   in
   Db.make ~vocab (List.init num_clauses (fun _ -> make_clause ()))
 
+(* Four workload families spanning the fast-path cells, picked by
+   [seed mod 4]: definite-Horn (with integrity), plain positive, stratified
+   normal, and general DNDBs (all fast-path misses — exercises the
+   fall-through). *)
+let family_db seed rand ~num_vars =
+  match seed mod 4 with
+  | 0 -> definite_db rand ~num_vars ~num_clauses:(2 * num_vars)
+  | 1 -> positive_db rand ~num_vars ~num_clauses:(2 * num_vars)
+  | 2 -> stratified_db rand ~num_vars ~num_clauses:(2 * num_vars) ~layers:3
+  | _ -> dndb rand ~num_vars ~num_clauses:(2 * num_vars)
+
 let random_partition rand num_vars =
   let buckets = Array.init num_vars (fun _ -> Random.State.int rand 3) in
   let pick k =

@@ -199,6 +199,197 @@ let theory_key_canonical () =
   check bool "different theory, different key" true
     (Engine.theory_key eng db1 <> Engine.theory_key eng db3)
 
+(* The specification of theory keys: the universe size and the clause set
+   canonicalized from scratch (packed literals sorted within each clause,
+   clauses sorted and deduplicated). *)
+let reference_key db =
+  let clause lits =
+    List.sort_uniq Int.compare (List.map Ddb_sat.Cnf.plit_of_lit lits)
+  in
+  ( Db.num_vars db,
+    List.sort_uniq (List.compare Int.compare) (List.map clause (Db.to_cnf db))
+  )
+
+let rand_of seed = Random.State.make [| seed |]
+
+let pm_lits n =
+  List.concat_map (fun x -> [ Lit.Neg x; Lit.Pos x ]) (List.init n Fun.id)
+
+let shuffle rand l =
+  List.map (fun x -> (Random.State.bits rand, x)) l
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+(* A separately built copy over the same universe: clauses and their
+   literals shuffled, some clauses duplicated. *)
+let rebuild rand db =
+  let clauses = Db.clauses db in
+  let dups = List.filter (fun _ -> Random.State.bool rand) clauses in
+  let permute c =
+    Clause.make
+      ~head:(shuffle rand (Clause.head c))
+      ~pos:(shuffle rand (Clause.body_pos c))
+      ~neg:(shuffle rand (Clause.body_neg c))
+  in
+  Db.make
+    ~vocab:(Vocab.of_size (Db.num_vars db))
+    (List.map permute (shuffle rand (clauses @ dups)))
+
+(* Small universes and few clauses, so distinct draws often coincide. *)
+let key_pool rand =
+  List.concat_map
+    (fun _ ->
+      let num_vars = 1 + Random.State.int rand 3 in
+      let db =
+        Gen.dndb rand ~num_vars ~num_clauses:(Random.State.int rand 4)
+      in
+      let padded = Db.with_universe db (num_vars + 1) in
+      [ db; rebuild rand db; padded; rebuild rand padded ])
+    [ 1; 2; 3; 4 ]
+
+let qcheck_theory_keys =
+  QCheck.Test.make ~count:(Gen.qcheck_count 100)
+    ~name:"theory keys: equal iff (universe, reference form) equal"
+    (QCheck.int_bound 999999) (fun seed ->
+      let rand = rand_of seed in
+      let pool = key_pool rand in
+      let eng = Engine.create () and second = Engine.create () in
+      let keys = List.map (Engine.theory_key eng) pool in
+      let refs = List.map reference_key pool in
+      let pairs = List.combine keys refs in
+      (* the cached form is the reference form *)
+      List.for_all
+        (fun db ->
+          Db.canonical_form (Db.canonical db) = snd (reference_key db))
+        pool
+      (* key equality ⇔ reference equality, over every pair *)
+      && List.for_all
+           (fun (k, r) ->
+             List.for_all (fun (k', r') -> (k = k') = (r = r')) pairs)
+           pairs
+      (* a padded copy gets its own key *)
+      && List.for_all
+           (fun db ->
+             Engine.theory_key eng db
+             <> Engine.theory_key eng
+                  (Db.with_universe db (Db.num_vars db + 1)))
+           pool
+      (* separately built copies, asked in the same order through a second
+         engine, get the same keys; repeats on the first engine are stable *)
+      && List.map (fun db -> Engine.theory_key second (rebuild rand db)) pool
+         = keys
+      && List.map (Engine.theory_key eng) pool = keys)
+
+(* Every ± literal and existence under a few registry semantics. *)
+let key_answers eng db =
+  let lits = pm_lits (Db.num_vars db) in
+  List.filter_map
+    (fun sem ->
+      match Registry.find_in eng sem with
+      | Some s when s.Semantics.applicable db ->
+        Some
+          ( sem,
+            s.Semantics.has_model db,
+            List.map (s.Semantics.infer_literal db) lits )
+      | _ -> None)
+    [ "cwa"; "gcwa"; "egcwa"; "ddr"; "perf"; "dsm" ]
+
+(* Four domains force the canonical forms of the same shared databases at
+   once (nothing forced them before): all see the same physical forms, and
+   their engines report the same keys and answers as a sequential engine
+   run afterwards. *)
+let concurrent_canonical_forms () =
+  let rand = rand_of 2024 in
+  let dbs = List.init 4 (fun i -> Gen.family_db i rand ~num_vars:5) in
+  let dbs = dbs @ List.map (fun db -> Db.with_universe db 6) dbs in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    let forms = List.map Db.canonical dbs in
+    let eng = Engine.create () in
+    let keys = List.map (Engine.theory_key eng) dbs in
+    (forms, keys, List.map (key_answers eng) dbs)
+  in
+  let results =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn worker))
+  in
+  let eng = Engine.create () in
+  let keys = List.map (Engine.theory_key eng) dbs in
+  let answers = List.map (key_answers eng) dbs in
+  List.iter
+    (fun (forms, keys', answers') ->
+      check bool "one physical form per database" true
+        (List.for_all2 ( == ) forms (List.map Db.canonical dbs));
+      check (list int) "same keys" keys keys';
+      check bool "same answers" true (answers = answers'))
+    results
+
+(* --- registry resolution --- *)
+
+(* [find_in eng name] builds only the named record; it must answer exactly
+   as the matching record of [all_in eng] does, with equal counters. *)
+let qcheck_registry_find_in =
+  QCheck.Test.make ~count:(Gen.qcheck_count 30)
+    ~name:"registry: find_in ≡ matching all_in record (answers, counters)"
+    (QCheck.int_bound 999999) (fun seed ->
+      let rand = rand_of seed in
+      let num_vars = 1 + Random.State.int rand 4 in
+      let db = Gen.family_db seed rand ~num_vars in
+      let f = Gen.random_formula rand num_vars ~depth:3 in
+      let lits = pm_lits num_vars in
+      let run resolve =
+        let eng = Engine.create () in
+        let s : Semantics.t = resolve eng in
+        let answers =
+          if not (s.Semantics.applicable db) then None
+          else
+            Some
+              ( s.Semantics.has_model db,
+                s.Semantics.infer_formula db f,
+                List.map (s.Semantics.infer_literal db) lits )
+        in
+        ( s.Semantics.name,
+          answers,
+          { (Engine.totals eng) with Engine.wall_ms = 0. } )
+      in
+      List.for_all
+        (fun name ->
+          run (fun eng -> Option.get (Registry.find_in eng name))
+          = run (fun eng ->
+                List.find
+                  (fun (s : Semantics.t) -> s.Semantics.name = name)
+                  (Registry.all_in eng)))
+        Registry.names)
+
+let registry_unknown_name () =
+  let module Budget = Ddb_budget.Budget in
+  let eng = Engine.create () in
+  let db = Db.of_string "a | b." in
+  let limits = Budget.no_limits in
+  check bool "find_in" true (Option.is_none (Registry.find_in eng "nope"));
+  let raises what f =
+    match f () with
+    | _ -> failf "%s: unknown name accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "infer_literal_in" (fun () ->
+      ignore (Registry.infer_literal_in eng ~sem:"nope" db (Lit.Neg 0)));
+  raises "infer_formula_in" (fun () ->
+      ignore (Registry.infer_formula_in eng ~sem:"nope" db (Formula.Atom 0)));
+  raises "has_model_in" (fun () ->
+      ignore (Registry.has_model_in eng ~sem:"nope" db));
+  raises "infer_literal3_in" (fun () ->
+      ignore
+        (Registry.infer_literal3_in eng ~limits ~sem:"nope" db (Lit.Neg 0)));
+  raises "infer_formula3_in" (fun () ->
+      ignore
+        (Registry.infer_formula3_in eng ~limits ~sem:"nope" db (Formula.Atom 0)));
+  raises "has_model3_in" (fun () ->
+      ignore (Registry.has_model3_in eng ~limits ~sem:"nope" db))
+
 (* --- oracle algorithms through the engine --- *)
 
 let oracle_algorithms_engine_variant () =
@@ -247,7 +438,16 @@ let suites =
     ( "engine.keys",
       [
         test_case "theory keys are canonical" `Quick theory_key_canonical;
+        QCheck_alcotest.to_alcotest qcheck_theory_keys;
+        test_case "4 domains force one shared canonical form" `Quick
+          concurrent_canonical_forms;
         test_case "oracle algorithms: engine variant ≡ direct" `Quick
           oracle_algorithms_engine_variant;
+      ] );
+    ( "engine.registry",
+      [
+        QCheck_alcotest.to_alcotest qcheck_registry_find_in;
+        test_case "unknown names raise Invalid_argument" `Quick
+          registry_unknown_name;
       ] );
   ]

@@ -192,23 +192,13 @@ let classification_uncached_on_direct () =
 
 (* --- the differential law: fast paths ≡ generic oracle --- *)
 
-(* Four workload families spanning the routed cells: definite-Horn (with
-   integrity), plain positive, stratified normal, and general DNDBs (all
-   misses — exercises the fall-through). *)
-let family_of seed rand ~num_vars =
-  match seed mod 4 with
-  | 0 -> Gen.definite_db rand ~num_vars ~num_clauses:(2 * num_vars)
-  | 1 -> Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars)
-  | 2 -> Gen.stratified_db rand ~num_vars ~num_clauses:(2 * num_vars) ~layers:3
-  | _ -> Gen.dndb rand ~num_vars ~num_clauses:(2 * num_vars)
-
 let qcheck_fastpath_differential =
   QCheck.Test.make ~count:(count 40)
     ~name:"fast-path ≡ generic oracle (all semantics, jobs:1 and jobs:4)"
     seeds (fun seed ->
       let rand = rand_of seed in
       let num_vars = 1 + Random.State.int rand 5 in
-      let db = family_of seed rand ~num_vars in
+      let db = Gen.family_db seed rand ~num_vars in
       let f = Gen.random_formula rand num_vars ~depth:3 in
       let run ~jobs ~fastpath =
         Batch.with_batch ~jobs ~fastpath (fun b ->
