@@ -9,29 +9,10 @@ open Ddb_db
    whose complement within P is exactly the set of atoms GCWA/CCWA add as
    negated: GCWA(DB) adds ¬x for x ∈ P∖S.
 
-   [support_set] grows S by repeated minimal-model queries: each round asks
-   for a minimal model containing a not-yet-supported P-atom.  At most
-   |P| + 1 oracle rounds, usually far fewer (each round can add many
-   atoms). *)
+   [support_set] is {!Minimal.support_set}: one minimal-model search whose
+   constraint "some P-atom outside S is true" strengthens as S grows. *)
 
-let support_set db part =
-  let theory = Db.theory db in
-  let p = Partition.p part in
-  let rec grow s =
-    let missing = Interp.diff p s in
-    if Interp.is_empty missing then s
-    else begin
-      let want_new =
-        [ Interp.fold (fun x acc -> Lit.Pos x :: acc) missing [] ]
-      in
-      match
-        Minimal.find_minimal_such_that ~extra:want_new theory part
-      with
-      | None -> s
-      | Some m -> grow (Interp.union s (Interp.inter m p))
-    end
-  in
-  grow (Interp.empty (Db.num_vars db))
+let support_set db part = Minimal.support_set (Db.theory db) part
 
 (* The closed-world augmentation: ¬x for every x ∈ P false in all
    (P;Z)-minimal models. *)

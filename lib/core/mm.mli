@@ -5,8 +5,8 @@ open Ddb_db
     family (GCWA/CCWA). *)
 
 val support_set : Db.t -> Partition.t -> Interp.t
-(** {x ∈ P : x true in some (P;Z)-minimal model}, grown by repeated
-    minimal-model oracle queries (≤ |P| + 1 rounds). *)
+(** {x ∈ P : x true in some (P;Z)-minimal model}:
+    {!Ddb_sat.Minimal.support_set} on the database's theory. *)
 
 val negated_atoms : Db.t -> Partition.t -> Interp.t
 (** P ∖ support — the atoms the closed-world rule negates. *)

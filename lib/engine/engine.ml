@@ -21,8 +21,10 @@ open Ddb_db
        literals, the Tseitin output of a negated query) instead of
        rebuilding a solver per query, so learned clauses accumulate;
      - results of the expensive oracles (support sets, minimal-model
-       enumerations, entailment answers, per-semantics decision answers)
-       are memoized per canonical key;
+       enumerations, entailment answers, single-atom minimal-model
+       queries, per-semantics decision answers) are memoized per canonical
+       key.  A cold query makes the direct path's SAT calls: the memo never
+       makes a first answer dearer;
      - every operation is instrumented: oracle calls, cache hits/misses,
        and — through {!Stats} — SAT solve calls, conflicts, decisions,
        propagations and wall time, attributable per semantics via
@@ -339,23 +341,6 @@ let memo t tbl key compute =
 (* paths, reproduced here so a cache-disabled engine is the ablation    *)
 (* baseline.                                                            *)
 
-let direct_support_set db part =
-  let theory = Db.theory db in
-  let p = Partition.p part in
-  let rec grow s =
-    let missing = Interp.diff p s in
-    if Interp.is_empty missing then s
-    else begin
-      let want_new =
-        [ Interp.fold (fun x acc -> Lit.Pos x :: acc) missing [] ]
-      in
-      match Minimal.find_minimal_such_that ~extra:want_new theory part with
-      | None -> s
-      | Some m -> grow (Interp.union s (Interp.inter m p))
-    end
-  in
-  grow (Interp.empty (Db.num_vars db))
-
 let direct_augmented_cnf db negs =
   Db.to_cnf db @ Interp.fold (fun x acc -> [ Lit.Neg x ] :: acc) negs []
 
@@ -463,35 +448,46 @@ let entails t db f =
   augmented_entails t db (Interp.empty (Db.num_vars db)) f
 
 (* The support set S = {x ∈ P : x true in some (P;Z)-minimal model} — the
-   closed-world family's central object, and the engine's biggest cache win:
-   GCWA/CCWA recompute it per query, here it is keyed by (theory, P, Q). *)
+   closed-world family's central object, behind every positive-literal and
+   formula query of GCWA/CCWA.  Cached engines key it by (theory, P, Q). *)
 let support_set t db part =
   tick t;
   instrumented t ~op:"support" db (fun () ->
-      if not t.cache then direct_support_set db part
-      else begin
-        let key = theory_key t db in
-        memo t t.interps (qkey ~part key "support") (fun () ->
-            direct_support_set db part)
-      end)
+      let compute () = Minimal.support_set (Db.theory db) part in
+      if not t.cache then compute ()
+      else memo t t.interps (qkey ~part (theory_key t db) "support") compute)
 
 let negated_atoms t db part =
   Interp.diff (Partition.p part) (support_set t db part)
 
-(* Is x true in some (P;Z)-minimal model?  Cached engines answer from the
-   memoized support set; direct engines issue the single constrained
-   minimal-model query of the original path.  (For x ∈ P the two agree by
-   definition of the support set.) *)
+(* Is x true in some (P;Z)-minimal model?  The single constrained
+   minimal-model query of the paper's Π₂ᵖ bound for GCWA/CCWA ¬x.  A cached
+   engine reads the answer off the support set when that is memoized
+   already, and otherwise runs the same query as a direct engine and
+   memoizes its answer per (theory, partition, atom) — computing the whole
+   support set would take one search per answer instead of one. *)
 let in_some_minimal t db part x =
-  if t.cache then Interp.mem (support_set t db part) x
-  else begin
-    tick t;
-    instrumented t ~op:"in_some_minimal" db (fun () ->
+  (* [Interp.mem] itself rejects atoms outside the universe. *)
+  if not (Interp.mem (Partition.p part) x) then
+    invalid_arg "Engine.in_some_minimal: atom outside P";
+  tick t;
+  instrumented t ~op:"in_some_minimal" db (fun () ->
+      let query () =
         Option.is_some
           (Minimal.find_minimal_such_that
              ~extra:[ [ Lit.Pos x ] ]
-             (Db.theory db) part))
-  end
+             (Db.theory db) part)
+      in
+      if not t.cache then query ()
+      else begin
+        let key = theory_key t db in
+        match Hashtbl.find_opt t.interps (qkey ~part key "support") with
+        | Some s ->
+          hit t;
+          Interp.mem s x
+        | None ->
+          memo t t.bools (qkey ~part ~arg:x key "in_some_minimal") query
+      end)
 
 (* All ⊆-minimal models (total partition). *)
 let minimal_models ?limit ?truncated t db =

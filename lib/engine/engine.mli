@@ -76,16 +76,23 @@ val entails : t -> Db.t -> Formula.t -> bool
 (** Classical [DB ⊨ F]. *)
 
 val support_set : t -> Db.t -> Partition.t -> Interp.t
-(** [{x ∈ P : x true in some (P;Z)-minimal model}] — memoized per
-    (theory, partition); the closed-world family's hot oracle. *)
+(** [{x ∈ P : x true in some (P;Z)-minimal model}], computed by
+    {!Ddb_sat.Minimal.support_set} (one incremental search) on both paths
+    and memoized per (theory, partition) on cached engines.  GCWA/CCWA
+    positive-literal and formula queries need it. *)
 
 val negated_atoms : t -> Db.t -> Partition.t -> Interp.t
 (** [P ∖ support_set] — the atoms GCWA/CCWA negate. *)
 
 val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
-(** Is the atom true in some (P;Z)-minimal model?  Cached engines answer
-    from the memoized support set; direct engines issue one constrained
-    minimal-model query.  The atom must belong to [P]. *)
+(** Is the atom true in some (P;Z)-minimal model?  One constrained
+    minimal-model search ({!Ddb_sat.Minimal.find_minimal_such_that}), the
+    same on both paths, so a cold cached engine makes exactly the direct
+    path's SAT calls.  A cached engine memoizes the answer per (theory,
+    partition, atom), and answers from the support set instead when that
+    is memoized already.
+
+    @raise Invalid_argument if the atom is not in [P]. *)
 
 val minimal_models :
   ?limit:int -> ?truncated:bool ref -> t -> Db.t -> Interp.t list

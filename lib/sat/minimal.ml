@@ -33,15 +33,14 @@ let cone_assumptions part m =
 
 (* Is there a model strictly below [m] in the (P;Z)-preorder?  One SAT call
    on: theory ∧ (Q = m∩Q) ∧ (P ⊆ m∩P) ∧ (P ≠ m∩P).  The last conjunct is a
-   disjunction over P∩m, asserted via a temporary selector-free clause — we
-   use a fresh solver per query, so adding it permanently is fine. *)
+   disjunction over P∩m, added as a clause guarded by a fresh selector that
+   the query assumes and then retires, so the solver stays reusable for
+   further queries on other models. *)
 let find_below solver part m =
   let p_in_m = Interp.to_list (Interp.inter (Partition.p part) m) in
   match p_in_m with
   | [] -> None (* nothing to shrink: m is minimal *)
   | _ -> (
-    (* Selector literal activating the "strictly smaller" clause so the
-       solver stays reusable for further queries on other models. *)
     let sel = Solver.new_var solver in
     Solver.add_clause solver
       (Lit.Neg sel :: List.map (fun x -> Lit.Neg x) p_in_m);
@@ -96,99 +95,125 @@ let cone_blocking part m =
   in
   block_p @ block_q
 
-(* Search for M ∈ MM(theory; P; Z) additionally satisfying the [extra]
-   clauses (which may mention auxiliary atoms beyond the universe, e.g. a
-   Tseitin encoding of ¬F; auxiliaries float like Z-atoms).
+(* Guess-and-check search for (P;Z)-minimal models of the theory that
+   satisfy a growing set of constraint clauses (which may mention auxiliary
+   atoms beyond the universe, e.g. a Tseitin encoding of ¬F; auxiliaries
+   float like Z-atoms).  This is the Σ₂ᵖ loop of the paper's upper bounds,
+   and every minimal-model search below is one.  Three solvers live as long
+   as the search: candidates (theory ∧ constraints ∧ cone blocks), a
+   constrained minimizer (theory ∧ constraints) and a plain checker (theory
+   alone, built on the first check).  Each [next] step is
 
-   The loop minimizes each candidate *within theory ∧ extra* and then checks
-   plain-theory minimality with one more oracle call:
-
-     candidate <- SAT(theory ∧ extra ∧ blocked);
-     m̂ <- minimize candidate within (theory ∧ extra);
+     candidate <- SAT(theory ∧ constraints ∧ blocked);
+     m̂ <- minimize candidate within (theory ∧ constraints);
      if m̂ is (P;Z)-minimal for theory alone: answer;
-     else block the cone of m̂ and iterate.
+     block the cone of m̂ either way.
 
-   Soundness of the cone block: anything strictly above m̂ is dominated by
-   the theory-model m̂, hence not theory-minimal — the cone contains no
-   unseen answer.  Completeness: an answer M (theory-minimal, ⊨ extra)
-   inside cone(m̂) would satisfy m̂ ≤ M with m̂ a theory model, contradicting
-   M's minimality unless M = m̂, which was just checked.  Each iteration
-   blocks its own candidate, so the loop terminates. *)
-let find_minimal_such_that ?(extra = []) theory part =
-  let candidate_solver = solver_of theory in
-  List.iter (Solver.add_clause candidate_solver) extra;
-  (* Descents stay inside theory ∧ extra: that is what makes cone blocking
-     complete (a descent can never jump over an unseen answer). *)
-  let constrained_minimizer = solver_of theory in
-  List.iter (Solver.add_clause constrained_minimizer) extra;
-  let plain_checker = solver_of theory in
-  let n = theory.num_vars in
-  let rec loop () =
-    match Solver.solve candidate_solver with
-    | Solver.Unsat -> None
-    | Solver.Sat ->
-      let m = Solver.model ~universe:n candidate_solver in
-      let m_hat = minimize_with constrained_minimizer part m in
-      if extra = [] || is_minimal_with plain_checker part m_hat then
-        Some m_hat
-      else begin
-        Solver.add_clause candidate_solver (cone_blocking part m_hat);
-        loop ()
-      end
+   Soundness of the cone block: anything in the cone of m̂ is ≥ m̂, a theory
+   model, so it is theory-minimal only if it agrees with m̂ on P and Q.  If
+   m̂ is not minimal, nothing in its cone is; if m̂ was an answer, the block
+   drops only models with its P- and Q-section, so a search reports one
+   model per such section.  This holds whatever the constraints are, so
+   blocks carry over as constraints are added.  Completeness: an answer M
+   inside cone(m̂) agrees with m̂ on P and Q, so m̂ — a model of the
+   constraints of its step, since descents stay inside them — was minimal
+   and was reported with M's section.  Each step blocks its own candidate,
+   so the search terminates.  Without constraints every descent ends in a
+   minimal model and the plain check is skipped. *)
+type search = {
+  part : Partition.t;
+  universe : int;
+  candidates : Solver.t;
+  minimizer : Solver.t;
+  checker : Solver.t Lazy.t;
+  mutable constrained : bool;
+}
+
+let constrain s clause =
+  Solver.add_clause s.candidates clause;
+  Solver.add_clause s.minimizer clause;
+  s.constrained <- true
+
+let search ?(extra = []) theory part =
+  let s =
+    {
+      part;
+      universe = theory.num_vars;
+      candidates = solver_of theory;
+      minimizer = solver_of theory;
+      checker = lazy (solver_of theory);
+      constrained = false;
+    }
   in
-  loop ()
+  List.iter (constrain s) extra;
+  s
 
-(* All minimal models under the total partition P = V (the MM(DB) case),
-   enumerated by minimize-then-block.  Two distinct ⊆-minimal models are
-   incomparable, so blocking the superset cone of each found model never
-   removes an unseen minimal model. *)
+let rec next s =
+  match Solver.solve s.candidates with
+  | Solver.Unsat -> None
+  | Solver.Sat ->
+    let m = Solver.model ~universe:s.universe s.candidates in
+    let m_hat = minimize_with s.minimizer s.part m in
+    let minimal =
+      (not s.constrained)
+      || is_minimal_with (Lazy.force s.checker) s.part m_hat
+    in
+    Solver.add_clause s.candidates (cone_blocking s.part m_hat);
+    if minimal then Some m_hat else next s
+
+(* Some M ∈ MM(theory; P; Z) additionally satisfying the [extra] clauses. *)
+let find_minimal_such_that ?extra theory part = next (search ?extra theory part)
+
+(* The support set S = {x ∈ P : x true in some (P;Z)-minimal model}, grown
+   by one search: each answer is a minimal model with a P-atom outside S.
+   The round constraint "some P-atom outside S is true" only strengthens as
+   S grows, so it is added permanently, and the cone blocks of earlier
+   rounds stay sound.  At most |P| + 1 answers are asked for, usually far
+   fewer (one answer can add many atoms). *)
+let support_set theory part =
+  let p = Partition.p part in
+  let s = search theory part in
+  let rec grow supp =
+    let missing = Interp.diff p supp in
+    if Interp.is_empty missing then supp
+    else begin
+      constrain s (Interp.fold (fun x acc -> Lit.Pos x :: acc) missing []);
+      match next s with
+      | None -> supp
+      | Some m -> grow (Interp.union supp (Interp.inter m p))
+    end
+  in
+  grow (Interp.empty theory.num_vars)
+
+(* All minimal models under the total partition P = V (the MM(DB) case).
+   Two distinct ⊆-minimal models are incomparable, so blocking the superset
+   cone of each found model never removes an unseen minimal model. *)
 let all_minimal ?limit ?truncated theory =
-  let part = Partition.minimize_all theory.num_vars in
-  let candidate_solver = solver_of theory in
-  let minimize_solver = solver_of theory in
-  let acc = ref [] in
-  let budget = ref (match limit with Some k -> k | None -> -1) in
-  let continue = ref true in
-  while !continue && !budget <> 0 do
-    match Solver.solve candidate_solver with
-    | Solver.Unsat -> continue := false
-    | Solver.Sat ->
-      let m = Solver.model ~universe:theory.num_vars candidate_solver in
-      let m_min = minimize_with minimize_solver part m in
-      Ddb_budget.Budget.on_model ();
-      acc := m_min :: !acc;
-      if !budget > 0 then decr budget;
-      Solver.add_clause candidate_solver (cone_blocking part m_min)
-  done;
-  if !continue && !budget = 0 then
-    Option.iter (fun r -> r := true) truncated;
-  List.rev !acc
+  let s = search theory (Partition.minimize_all theory.num_vars) in
+  let rec go acc k =
+    if k = 0 then begin
+      Option.iter (fun r -> r := true) truncated;
+      List.rev acc
+    end
+    else
+      match next s with
+      | None -> List.rev acc
+      | Some m ->
+        Ddb_budget.Budget.on_model ();
+        go (m :: acc) (k - 1)
+  in
+  go [] (Option.value limit ~default:(-1))
 
-(* Lazy variant of [all_minimal]: feed ⊆-minimal models of the theory to a
-   callback until it stops.  With [extra] clauses, exactly the minimal
-   models *satisfying extra* are reported (same constrained-minimization
-   scheme as [find_minimal_such_that]; see the completeness argument
-   there). *)
-let iter_minimal ?(extra = []) theory f =
-  let part = Partition.minimize_all theory.num_vars in
-  let candidate_solver = solver_of theory in
-  List.iter (Solver.add_clause candidate_solver) extra;
-  let constrained_minimizer = solver_of theory in
-  List.iter (Solver.add_clause constrained_minimizer) extra;
-  let plain_checker = solver_of theory in
-  let continue = ref true in
-  while !continue do
-    match Solver.solve candidate_solver with
-    | Solver.Unsat -> continue := false
-    | Solver.Sat ->
-      let m = Solver.model ~universe:theory.num_vars candidate_solver in
-      let m_hat = minimize_with constrained_minimizer part m in
-      if extra = [] || is_minimal_with plain_checker part m_hat then begin
-        match f m_hat with `Stop -> continue := false | `Continue -> ()
-      end;
-      if !continue then
-        Solver.add_clause candidate_solver (cone_blocking part m_hat)
-  done
+(* Lazy variant of [all_minimal]: feed the ⊆-minimal models of the theory
+   that satisfy [extra] to a callback until it stops. *)
+let iter_minimal ?extra theory f =
+  let s = search ?extra theory (Partition.minimize_all theory.num_vars) in
+  let rec go () =
+    match next s with
+    | None -> ()
+    | Some m -> ( match f m with `Stop -> () | `Continue -> go ())
+  in
+  go ()
 
 (* Reference implementation over explicit model lists (for tests). *)
 

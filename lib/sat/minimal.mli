@@ -40,6 +40,13 @@ val find_minimal_such_that :
     oracle call, with cone blocking; this is the Σ₂ᵖ guess-and-check loop of
     the paper's upper bounds. *)
 
+val support_set : theory -> Partition.t -> Interp.t
+(** [{x ∈ P : x true in some (P;Z)-minimal model}], grown by one
+    guess-and-check search whose constraint "some P-atom outside the set so
+    far is true" is strengthened after each answer (at most |P| + 1
+    answers asked for).  The three solvers and the cone blocks are kept for
+    the whole computation. *)
+
 val all_minimal : ?limit:int -> ?truncated:bool ref -> theory -> Interp.t list
 (** All ⊆-minimal models (total partition), via minimize-then-block.  When
     [limit] cuts the enumeration short, [truncated] (if given) is set to

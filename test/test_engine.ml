@@ -85,8 +85,10 @@ let primitive_soundness () =
       let part = Partition.minimize_all (Db.num_vars db) in
       check bool "sat = Models.has_model" (Models.has_model db)
         (Engine.sat eng db);
-      check bool "support_set = Mm.support_set" true
-        (Interp.equal (Mm.support_set db part) (Engine.support_set eng db part));
+      check bool "support_set = brute force" true
+        (Interp.equal
+           (Mm.brute_support_set db part)
+           (Engine.support_set eng db part));
       check bool "minimal_models = brute" true
         (Gen.interp_list_equal
            (Models.brute_minimal_models db)
@@ -114,6 +116,95 @@ let repeat_queries_hit_cache () =
   let second = (Engine.totals eng).Engine.sat_solve_calls in
   check int "second sweep is free" first second;
   check bool "hits recorded" true ((Engine.totals eng).Engine.cache_hits > 0)
+
+(* --- support sets and the ¬x query --- *)
+
+let rand_of seed = Random.State.make [| seed |]
+
+(* A random family database with a random ⟨P;Q;Z⟩ partition. *)
+let partitioned_db seed ~max_vars =
+  let rand = rand_of seed in
+  let num_vars = 1 + Random.State.int rand max_vars in
+  let db = Gen.family_db seed rand ~num_vars in
+  (rand, db, Gen.random_partition rand num_vars)
+
+(* The SAT solve calls [f] makes, with its result. *)
+let sat_calls f =
+  let before = Stats.snapshot () in
+  let r = f () in
+  (r, (Stats.delta before).Stats.sat)
+
+(* The one-search support set is the brute-force one, and every x ∈ P gets
+   the brute-force answer from a cold cached engine (asked twice: the
+   second answer is memoized), from a cached engine whose support set is
+   memoized (no new SAT call), and from a direct engine. *)
+let qcheck_support_set =
+  QCheck.Test.make ~count:(Gen.qcheck_count 100)
+    ~name:"support set and in_some_minimal ≡ brute force on every path"
+    (QCheck.int_bound 999999) (fun seed ->
+      let _, db, part = partitioned_db seed ~max_vars:6 in
+      let brute = Mm.brute_support_set db part in
+      let memoized = Engine.create () in
+      let direct = Engine.create ~cache:false () in
+      Interp.equal (Ddb_sat.Minimal.support_set (Db.theory db) part) brute
+      && Interp.equal (Engine.support_set direct db part) brute
+      && Interp.equal (Engine.support_set memoized db part) brute
+      && List.for_all
+           (fun x ->
+             let expect = Interp.mem brute x in
+             let cold = Engine.create () in
+             Engine.in_some_minimal cold db part x = expect
+             && sat_calls (fun () -> Engine.in_some_minimal cold db part x)
+                = (expect, 0)
+             && sat_calls (fun () -> Engine.in_some_minimal memoized db part x)
+                = (expect, 0)
+             && Engine.in_some_minimal direct db part x = expect)
+           (Interp.to_list (Partition.p part)))
+
+(* A cold cached engine pays exactly what the direct path pays for a
+   GCWA or CCWA ¬x query: the same single minimal-model search. *)
+let qcheck_cold_literal_cost =
+  QCheck.Test.make ~count:(Gen.qcheck_count 100)
+    ~name:"cold cached GCWA/CCWA ¬x makes the direct path's SAT calls"
+    (QCheck.int_bound 999999) (fun seed ->
+      let rand, db, part = partitioned_db seed ~max_vars:8 in
+      let cost query cache =
+        sat_calls (fun () -> query (Engine.create ~cache ()))
+      in
+      let same query = cost query true = cost query false in
+      let x = Random.State.int rand (Db.num_vars db) in
+      same (fun eng ->
+          (Gcwa.semantics_in eng).Semantics.infer_literal db (Lit.Neg x))
+      &&
+      match Interp.to_list (Partition.p part) with
+      | [] -> true
+      | p ->
+        let x = List.nth p (Random.State.int rand (List.length p)) in
+        same (fun eng -> Ccwa.infer_literal_in eng db part (Lit.Neg x)))
+
+(* [in_some_minimal] is defined on P only: both engines reject Q and Z
+   atoms and atoms outside the universe, also once the support set is
+   memoized. *)
+let in_some_minimal_rejects_non_p () =
+  let db = Db.of_string "a | b. c :- a." in
+  let part = Partition.of_lists 3 ~p:[ 0 ] ~q:[ 1 ] ~z:[ 2 ] in
+  let memoized = Engine.create () in
+  ignore (Engine.support_set memoized db part);
+  List.iter
+    (fun (what, eng) ->
+      check bool (what ^ ": P atom") true
+        (Engine.in_some_minimal eng db part 0);
+      List.iter
+        (fun x ->
+          match Engine.in_some_minimal eng db part x with
+          | _ -> failf "%s: atom %d outside P accepted" what x
+          | exception Invalid_argument _ -> ())
+        [ 1; 2; 3; -1 ])
+    [
+      ("cached", Engine.create ());
+      ("memoized", memoized);
+      ("direct", Engine.create ~cache:false ());
+    ]
 
 (* --- instrumentation --- *)
 
@@ -209,8 +300,6 @@ let reference_key db =
   ( Db.num_vars db,
     List.sort_uniq (List.compare Int.compare) (List.map clause (Db.to_cnf db))
   )
-
-let rand_of seed = Random.State.make [| seed |]
 
 let pm_lits n =
   List.concat_map (fun x -> [ Lit.Neg x; Lit.Pos x ]) (List.init n Fun.id)
@@ -426,6 +515,10 @@ let suites =
           primitive_soundness;
         test_case "repeated queries are answered from the cache" `Quick
           repeat_queries_hit_cache;
+        QCheck_alcotest.to_alcotest qcheck_support_set;
+        QCheck_alcotest.to_alcotest qcheck_cold_literal_cost;
+        test_case "in_some_minimal rejects atoms outside P" `Quick
+          in_some_minimal_rejects_non_p;
       ] );
     ( "engine.instrumentation",
       [
