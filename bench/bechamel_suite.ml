@@ -11,6 +11,9 @@ open Ddb_workload
 
 let fixed_n = 16
 
+(* A cache-disabled engine: every run is a cold, fresh-solver query. *)
+let eng = Ddb_engine.Engine.create ~cache:false ~fastpath:false ()
+
 let query n = Random_db.formula ~seed:n ~num_vars:n ~depth:2
 
 let table1_tests =
@@ -20,16 +23,16 @@ let table1_tests =
   let part = Partition.minimize_all fixed_n in
   Test.make_grouped ~name:"table1" ~fmt:"%s/%s"
     [
-      Test.make ~name:"gcwa-lit" (Staged.stage (fun () -> Gcwa.infer_literal db lit));
+      Test.make ~name:"gcwa-lit" (Staged.stage (fun () -> Gcwa.infer_literal_in eng db lit));
       Test.make ~name:"gcwa-form"
-        (Staged.stage (fun () -> Oracle_algorithms.gcwa_formula db f));
-      Test.make ~name:"ddr-lit" (Staged.stage (fun () -> Ddr.infer_literal db lit));
-      Test.make ~name:"ddr-form" (Staged.stage (fun () -> Ddr.infer_formula db f));
+        (Staged.stage (fun () -> Oracle_algorithms.gcwa_formula_in eng db f));
+      Test.make ~name:"ddr-lit" (Staged.stage (fun () -> Ddr.infer_literal_in eng db lit));
+      Test.make ~name:"ddr-form" (Staged.stage (fun () -> Ddr.infer_formula_in eng db f));
       Test.make ~name:"pws-lit" (Staged.stage (fun () -> Pws.infer_literal db lit));
       Test.make ~name:"pws-form" (Staged.stage (fun () -> Pws.infer_formula db f));
-      Test.make ~name:"egcwa-form" (Staged.stage (fun () -> Egcwa.infer_formula db f));
+      Test.make ~name:"egcwa-form" (Staged.stage (fun () -> Egcwa.infer_formula_in eng db f));
       Test.make ~name:"ecwa-form"
-        (Staged.stage (fun () -> Ecwa.infer_formula db part f));
+        (Staged.stage (fun () -> Ecwa.infer_formula_in eng db part f));
       Test.make ~name:"icwa-form"
         (Staged.stage (fun () -> Icwa.infer_formula db part f));
       Test.make ~name:"perf-form" (Staged.stage (fun () -> Perf.infer_formula db f));
@@ -45,13 +48,13 @@ let table2_tests =
   let part = Partition.minimize_all fixed_n in
   Test.make_grouped ~name:"table2" ~fmt:"%s/%s"
     [
-      Test.make ~name:"gcwa-lit" (Staged.stage (fun () -> Gcwa.infer_literal db lit));
-      Test.make ~name:"ddr-lit" (Staged.stage (fun () -> Ddr.infer_literal db lit));
+      Test.make ~name:"gcwa-lit" (Staged.stage (fun () -> Gcwa.infer_literal_in eng db lit));
+      Test.make ~name:"ddr-lit" (Staged.stage (fun () -> Ddr.infer_literal_in eng db lit));
       Test.make ~name:"pws-lit" (Staged.stage (fun () -> Pws.infer_literal db lit));
       Test.make ~name:"egcwa-exists"
-        (Staged.stage (fun () -> Egcwa.semantics.Semantics.has_model db));
+        (Staged.stage (fun () -> Egcwa.has_model_in eng db));
       Test.make ~name:"ecwa-form"
-        (Staged.stage (fun () -> Ecwa.infer_formula db part f));
+        (Staged.stage (fun () -> Ecwa.infer_formula_in eng db part f));
       Test.make ~name:"icwa-exists" (Staged.stage (fun () -> Icwa.has_model strat));
       Test.make ~name:"perf-exists" (Staged.stage (fun () -> Perf.has_model dndb));
       Test.make ~name:"dsm-exists" (Staged.stage (fun () -> Dsm.has_model dndb));

@@ -208,7 +208,7 @@ let semantics_arg =
   let print ppf (s : Semantics.t) = Fmt.string ppf s.Semantics.name in
   Arg.(
     value
-    & opt (conv (parse, print)) Egcwa.semantics
+    & opt (conv (parse, print)) (Option.get (Registry.find "egcwa"))
     & info [ "s"; "semantics" ] ~docv:"SEM"
         ~doc:
           (Printf.sprintf "Semantics to evaluate under; one of: %s."
@@ -376,6 +376,9 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
     ~minimize ~fixed ~vary =
   Result.bind (check_applicable sem db) @@ fun () ->
   let vocab = Db.vocab db in
+  (* Cautious inference runs on an engine so the fragment fast paths apply
+     (--no-fastpath is the generic-oracle ablation). *)
+  let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
   match Parse.formula vocab query_str with
   | exception Parse.Error msg ->
     Error (`Msg (Printf.sprintf "query parse error: %s" msg))
@@ -387,10 +390,10 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
       match sem.Semantics.name with
       | "ccwa" ->
         if brave then Ok (Brave.ccwa db part f)
-        else Ok (Ccwa.infer_formula db part f)
+        else Ok (Ccwa.infer_formula_in eng db part f)
       | "ecwa" ->
         if brave then Ok (Brave.ecwa db part f)
-        else Ok (Ecwa.infer_formula db part f)
+        else Ok (Ecwa.infer_formula_in eng db part f)
       | "circ" ->
         if brave then Ok (Brave.ecwa db part f)
         else Ok (Circ.infer_formula db part f)
@@ -429,11 +432,8 @@ let query db (sem : Semantics.t) query_str brave witness ~no_fastpath
         Ok ()
     end
     else begin
-      (* Plain cautious inference runs on an engine so the fragment
-         fast paths apply (--no-fastpath is the generic-oracle ablation). *)
-      let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
       let answer =
-        Registry.infer_formula_in eng ~sem:sem.Semantics.name db f
+        (Registry.in_exn eng sem.Semantics.name).Semantics.infer_formula db f
       in
       Fmt.pr "%s(DB) %s %a@." sem.Semantics.name
         (if answer then "|=" else "|/=")
@@ -477,7 +477,7 @@ let exists db (sem : Semantics.t) ~no_fastpath =
   Result.bind (check_applicable sem db) @@ fun () ->
   let eng = Ddb_engine.Engine.create ~fastpath:(not no_fastpath) () in
   Fmt.pr "%s(DB) %s@." sem.Semantics.name
-    (if Registry.has_model_in eng ~sem:sem.Semantics.name db then
+    (if (Registry.in_exn eng sem.Semantics.name).Semantics.has_model db then
        "has a model"
      else "has no model");
   Ok ()
@@ -548,13 +548,7 @@ let select_sems db sem_name =
         (`Msg
           (Printf.sprintf "unknown semantics %S (try: %s)" name
              (String.concat ", " Registry.names)))
-    else if
-      not
-        (List.exists
-           (fun (s : Semantics.t) ->
-             s.Semantics.name = name && s.Semantics.applicable db)
-           Registry.all)
-    then
+    else if not (List.mem name (Registry.applicable_names db)) then
       Error
         (`Msg
           (Printf.sprintf "the %s semantics is not applicable to this database"
@@ -583,42 +577,37 @@ let finish_sweep3 bopts unknowns k =
     Error (`Msg (Printf.sprintf "budget exhausted on %d cell(s)" unknowns))
   else k ()
 
-(* Run the closed-world query workload (two passes of a full ± literal
-   sweep plus an existence check) across a pool of worker domains, one
-   memoizing oracle engine per worker, and print the merged per-semantics
-   stats record as JSON — same schema as a single engine's (the "unknowns"
+(* The closed-world query workload: two passes of a full ± literal sweep
+   plus an existence check, every cell under its own budget token.
+   Returns the number of degraded cells. *)
+let stats_workload b ~sems bopts db =
+  let retry = bopts.on_exhaust = `Retry in
+  let limits = bopts.limits in
+  let unknowns = ref 0 in
+  for _pass = 1 to 2 do
+    List.iter
+      (fun (_, answers) ->
+        List.iter (fun (_, a) -> if is_unknown a then incr unknowns) answers)
+      (Batch.literal_sweep3 b ~sems ~retry ~limits db);
+    List.iter
+      (fun (_, a) -> if is_unknown a then incr unknowns)
+      (Batch.exists_sweep3 b ~sems ~retry ~limits db)
+  done;
+  !unknowns
+
+(* Run the stats workload across a pool of worker domains, one memoizing
+   oracle engine per worker, and print the merged per-semantics stats
+   record as JSON — same schema as a single engine's (the "unknowns"
    counters are zero on unbudgeted runs).  --no-cache replays the workload
-   on cache-disabled shards (the direct fresh-solver path) for ablation. *)
+   on cache-disabled shards (fresh solvers per query) for ablation. *)
 let stats db sem_name no_cache no_fastpath jobs ~pinned bopts =
   Result.bind (select_sems db sem_name) @@ fun sems ->
   Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
     ~pinned
   @@ fun b ->
-  if Budget.is_unlimited bopts.limits then begin
-    for _pass = 1 to 2 do
-      ignore (Batch.literal_sweep b ~sems db);
-      ignore (Batch.exists_sweep b ~sems db)
-    done;
-    Fmt.pr "%s@." (Batch.stats_json b);
-    Ok ()
-  end
-  else begin
-    let retry = bopts.on_exhaust = `Retry in
-    let limits = bopts.limits in
-    let unknowns = ref 0 in
-    for _pass = 1 to 2 do
-      List.iter
-        (fun (_, answers) ->
-          List.iter (fun (_, a) -> if is_unknown a then incr unknowns) answers)
-        (Batch.literal_sweep3 b ~sems ~retry ~limits db);
-      List.iter
-        (fun (_, a) -> if is_unknown a then incr unknowns)
-        (Batch.exists_sweep3 b ~sems ~retry ~limits db)
-    done;
-    finish_sweep3 bopts !unknowns @@ fun () ->
-    Fmt.pr "%s@." (Batch.stats_json b);
-    Ok ()
-  end
+  finish_sweep3 bopts (stats_workload b ~sems bopts db) @@ fun () ->
+  Fmt.pr "%s@." (Batch.stats_json b);
+  Ok ()
 
 (* Print every ± literal's answer under every selected semantics.  Output
    order is fixed (semantics in registry order, ¬x before x, atoms
@@ -630,39 +619,25 @@ let sweep db sem_name no_cache no_fastpath jobs ~pinned bopts =
     ~pinned
   @@ fun b ->
   let vocab = Db.vocab db in
-  if Budget.is_unlimited bopts.limits then begin
-    List.iter
-      (fun (sem, answers) ->
-        List.iter
-          (fun (l, ans) ->
-            Fmt.pr "%-8s %s %a@." sem
-              (if ans then "|=" else "|/=")
-              (Lit.pp ~vocab) l)
-          answers)
-      (Batch.literal_sweep b ~sems db);
-    Ok ()
-  end
-  else begin
-    let retry = bopts.on_exhaust = `Retry in
-    let unknowns = ref 0 in
-    let rows = Batch.literal_sweep3 b ~sems ~retry ~limits:bopts.limits db in
-    List.iter
-      (fun (sem, answers) ->
-        List.iter
-          (fun (l, ans) ->
-            let rel =
-              match ans with
-              | Budget.True -> "|="
-              | Budget.False -> "|/="
-              | Budget.Unknown _ ->
-                incr unknowns;
-                "|?"
-            in
-            Fmt.pr "%-8s %s %a@." sem rel (Lit.pp ~vocab) l)
-          answers)
-      rows;
-    finish_sweep3 bopts !unknowns @@ fun () -> Ok ()
-  end
+  let retry = bopts.on_exhaust = `Retry in
+  let unknowns = ref 0 in
+  let rows = Batch.literal_sweep3 b ~sems ~retry ~limits:bopts.limits db in
+  List.iter
+    (fun (sem, answers) ->
+      List.iter
+        (fun (l, ans) ->
+          let rel =
+            match ans with
+            | Budget.True -> "|="
+            | Budget.False -> "|/="
+            | Budget.Unknown _ ->
+              incr unknowns;
+              "|?"
+          in
+          Fmt.pr "%-8s %s %a@." sem rel (Lit.pp ~vocab) l)
+        answers)
+    rows;
+  finish_sweep3 bopts !unknowns @@ fun () -> Ok ()
 
 let stats_sem_arg =
   Arg.(
@@ -680,8 +655,8 @@ let no_cache_flag =
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Disable the engine's memo tables (ablation: the direct \
-           fresh-solver path, still instrumented).")
+          "Disable the engine's memo tables (ablation: every query on \
+           fresh solvers, still instrumented).")
 
 (* --- profile --- *)
 
@@ -694,25 +669,7 @@ let profile db sem_name no_cache no_fastpath jobs bopts =
   Batch.with_batch ?jobs ~cache:(not no_cache) ~fastpath:(not no_fastpath)
     ~pinned:true ~profile:true
   @@ fun b ->
-  let unknowns = ref 0 in
-  let retry = bopts.on_exhaust = `Retry in
-  let limits = bopts.limits in
-  for _pass = 1 to 2 do
-    if Budget.is_unlimited limits then begin
-      ignore (Batch.literal_sweep b ~sems db);
-      ignore (Batch.exists_sweep b ~sems db)
-    end
-    else begin
-      List.iter
-        (fun (_, answers) ->
-          List.iter (fun (_, a) -> if is_unknown a then incr unknowns) answers)
-        (Batch.literal_sweep3 b ~sems ~retry ~limits db);
-      List.iter
-        (fun (_, a) -> if is_unknown a then incr unknowns)
-        (Batch.exists_sweep3 b ~sems ~retry ~limits db)
-    end
-  done;
-  finish_sweep3 bopts !unknowns @@ fun () ->
+  finish_sweep3 bopts (stats_workload b ~sems bopts db) @@ fun () ->
   let merged =
     Metrics.merge (List.map Ddb_engine.Engine.metrics (Batch.engines b))
   in
@@ -732,9 +689,10 @@ let profile db sem_name no_cache no_fastpath jobs bopts =
 
 let list_semantics () =
   List.iter
-    (fun (s : Semantics.t) ->
-      Fmt.pr "%-8s %s@." s.Semantics.name s.Semantics.long_name)
-    Registry.all;
+    (fun name ->
+      let s = Option.get (Registry.find name) in
+      Fmt.pr "%-8s %s@." name s.Semantics.long_name)
+    Registry.names;
   Ok ()
 
 (* --- command wiring --- *)

@@ -35,7 +35,7 @@ let ecwa_witness db part f = minimal_witness db part f
 let augmented_witness db negs f =
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
-  let solver = Solver.of_clauses ~num_vars:n (Mm.augmented_cnf db negs) in
+  let solver = Solver.of_clauses ~num_vars:n (Models.augmented_cnf db negs) in
   let _ = Solver.add_formula solver ~next_var:n f in
   match Solver.solve solver with
   | Solver.Sat -> Some (Solver.model ~universe:n solver)
@@ -43,13 +43,15 @@ let augmented_witness db negs f =
 
 let gcwa_witness db f =
   let db = Semantics.for_query db f in
-  augmented_witness db (Gcwa.negated_atoms db) f
+  augmented_witness db
+    (Mm.negated_atoms db (Partition.minimize_all (Db.num_vars db)))
+    f
 
-let ccwa_witness db part f = augmented_witness db (Ccwa.negated_atoms db part) f
+let ccwa_witness db part f = augmented_witness db (Mm.negated_atoms db part) f
 
 let cwa_witness db f =
   let db = Semantics.for_query db f in
-  augmented_witness db (Cwa.negated_atoms db) f
+  augmented_witness db (Models.non_entailed_atoms db) f
 
 let ddr_witness db f =
   let db = Semantics.for_query db f in

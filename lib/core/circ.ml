@@ -128,7 +128,9 @@ let semantics : Semantics.t =
         let db = Semantics.for_query db f in
         infer_formula db (Partition.minimize_all (Db.num_vars db)) f);
     infer_literal =
-      (fun db l -> infer_literal db (Partition.minimize_all (Db.num_vars db)) l);
+      (fun db l ->
+        let db = Semantics.for_query db (Formula.of_lit l) in
+        infer_literal db (Partition.minimize_all (Db.num_vars db)) l);
     reference_models =
       (fun db -> reference_models db (Partition.minimize_all (Db.num_vars db)));
   }

@@ -6,10 +6,9 @@
     Table 2, the query is answered by a dedicated polynomial algorithm
     from {!Ddb_frag.Frag} (counted as a [fastpath] hit, budget-probed,
     traced); otherwise it falls through to [s]'s generic oracle procedure
-    (counted as a miss).  With the engine's fastpath gate off
-    ({!Ddb_engine.Engine.set_fastpath}), [wrap] is the identity
-    behaviourally — every query runs the generic path and no fast-path
-    counter moves.
+    (counted as a miss).  On an engine created with [~fastpath:false]
+    ({!Ddb_engine.Engine.create}), [wrap] is the identity behaviourally —
+    every query runs the generic path and no fast-path counter moves.
 
     Routed cells (registry semantics, canonical total partition):
     - definite-Horn databases (integrity clauses allowed): CWA, GCWA,

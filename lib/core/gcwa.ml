@@ -1,6 +1,6 @@
 open Ddb_logic
-open Ddb_sat
 open Ddb_db
+open Ddb_engine
 
 (* GCWA — Minker's Generalized Closed World Assumption.
 
@@ -14,37 +14,41 @@ open Ddb_db
        DB models");
      - GCWA(DB) ⊨ F reduces to classical entailment from the augmented
        theory once the support set S = {x : x true in some minimal model}
-       is known. *)
+       is known.
+
+   Support sets and entailment run through the memoizing oracle engine
+   (shared incremental solver, per-theory caches). *)
 
 let part db = Partition.minimize_all (Db.num_vars db)
 
-let negated_atoms db = Mm.negated_atoms db (part db)
+(* Every public entry point scopes itself, so solver effort is attributed
+   to the "gcwa" bucket no matter how the engine path is reached; nested
+   scopes keep attributing to the outermost one. *)
+let scope eng f = Engine.scoped eng "gcwa" f
 
-(* GCWA(DB) ⊨ ¬x: a single minimal-model query, Π₂ᵖ-style. *)
-let entails_neg_literal db x =
-  if x >= Db.num_vars db then true (* unknown atoms are false by closure *)
-  else
-    match
-      Minimal.find_minimal_such_that
-        ~extra:[ [ Lit.Pos x ] ]
-        (Db.theory db) (part db)
-    with
-    | Some _ -> false (* a minimal model contains x: it is a GCWA model *)
-    | None -> true (* x false in all minimal models (vacuously if none) *)
+let negated_atoms_in eng db =
+  scope eng (fun () -> Engine.negated_atoms eng db (part db))
+
+(* GCWA(DB) ⊨ ¬x: a single minimal-model query, Π₂ᵖ-style.  Unknown atoms
+   are false by closure. *)
+let entails_neg_literal_in eng db x =
+  if x >= Db.num_vars db then true
+  else scope eng (fun () -> not (Engine.in_some_minimal eng db (part db) x))
 
 (* GCWA(DB) ⊨ x: every model of the augmented theory contains x. *)
-let entails_pos_literal db x =
-  Mm.augmented_entails db (negated_atoms db) (Formula.Atom x)
+let infer_literal_in eng db = function
+  | Lit.Pos x ->
+    scope eng (fun () ->
+        Engine.augmented_entails eng db (negated_atoms_in eng db)
+          (Formula.Atom x))
+  | Lit.Neg x -> entails_neg_literal_in eng db x
 
-let infer_literal db = function
-  | Lit.Pos x -> entails_pos_literal db x
-  | Lit.Neg x -> entails_neg_literal db x
+let infer_formula_in eng db f =
+  scope eng (fun () ->
+      let db = Semantics.for_query db f in
+      Engine.augmented_entails eng db (negated_atoms_in eng db) f)
 
-let infer_formula db f =
-  let db = Semantics.for_query db f in
-  Mm.augmented_entails db (negated_atoms db) f
-
-let has_model db = Models.has_model db
+let has_model_in eng db = scope eng (fun () -> Engine.sat eng db)
 
 (* Reference engine. *)
 let reference_models db =
@@ -58,49 +62,13 @@ let reference_models db =
     (fun m -> Interp.is_empty (Interp.inter m negs))
     (Models.brute_models db)
 
-let semantics : Semantics.t =
+let semantics_in eng : Semantics.t =
   {
     name = "gcwa";
     long_name = "Generalized Closed World Assumption (Minker)";
     applicable = (fun _ -> true);
-    has_model;
-    infer_formula;
-    infer_literal;
-    reference_models;
-  }
-
-(* --- engine-routed path --- *)
-
-open Ddb_engine
-
-(* Every public entry point scopes itself, so solver effort is attributed
-   to the "gcwa" bucket no matter how the engine path is reached; nested
-   scopes keep attributing to the outermost one. *)
-let scope eng f = Engine.scoped eng "gcwa" f
-
-let negated_atoms_in eng db =
-  scope eng (fun () -> Engine.negated_atoms eng db (part db))
-
-let entails_neg_literal_in eng db x =
-  if x >= Db.num_vars db then true
-  else scope eng (fun () -> not (Engine.in_some_minimal eng db (part db) x))
-
-let infer_literal_in eng db = function
-  | Lit.Pos x ->
-    scope eng (fun () ->
-        Engine.augmented_entails eng db (negated_atoms_in eng db)
-          (Formula.Atom x))
-  | Lit.Neg x -> entails_neg_literal_in eng db x
-
-let infer_formula_in eng db f =
-  scope eng (fun () ->
-      let db = Semantics.for_query db f in
-      Engine.augmented_entails eng db (negated_atoms_in eng db) f)
-
-let semantics_in eng : Semantics.t =
-  {
-    semantics with
-    has_model = (fun db -> scope eng (fun () -> Engine.sat eng db));
+    has_model = has_model_in eng;
     infer_formula = infer_formula_in eng;
     infer_literal = infer_literal_in eng;
+    reference_models;
   }

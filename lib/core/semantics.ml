@@ -6,11 +6,12 @@ open Ddb_db
    decision problems — literal inference, formula inference, model
    existence.
 
-   Every semantics module provides two engines:
-     - the *oracle engine* (the default): realizes the paper's upper-bound
-       algorithm by SAT / minimality-oracle calls;
-     - the *reference engine*: explicit model enumeration over 2^V (or 3^V),
-       used as ground truth on small universes by the tests and the
+   Every semantics record carries two evaluators:
+     - the *oracle procedures* (the three decision problems): realize the
+       paper's upper-bound algorithm by SAT / minimality-oracle calls, on
+       the memoizing engine the record was built for;
+     - the *reference models*: explicit model enumeration over 2^V (or
+       3^V), used as ground truth on small universes by the tests and the
        engine-ablation bench. *)
 
 type t = {
@@ -43,9 +44,11 @@ let for_query db f =
 (* Route a semantics through the memoizing oracle engine without
    decomposing its decision procedure: every decision problem is scoped
    (instrumented per semantics) and its answer memoized under the
-   database's canonical key.  Semantics whose procedures the engine does
-   decompose (the closed-world family) define richer [semantics_in]
-   versions in their own modules instead. *)
+   database's canonical key; a cache-disabled engine runs the procedure on
+   every call.  This is the engine path of PWS, CIRC, ICWA, PERF, DSM and
+   PDSM.  The closed-world family (CWA, GCWA, CCWA, DDR, EGCWA, ECWA) has
+   no procedure outside the engine: its [semantics_in] records ask each
+   oracle query of the engine directly. *)
 let via_engine eng (s : t) : t =
   let open Ddb_engine in
   {

@@ -32,8 +32,9 @@ val via_engine : Ddb_engine.Engine.t -> t -> t
 (** Route the semantics through the memoizing oracle engine: each decision
     problem runs inside an {!Ddb_engine.Engine.scoped} bucket named after
     the semantics and its answer is memoized under the database's canonical
-    key.  Used by the modules whose procedures the engine does not
-    decompose; the closed-world family defines deeper [semantics_in]
-    integrations instead. *)
+    key.  The engine path of the modules whose procedures the engine does
+    not decompose (PWS, CIRC, ICWA, PERF, DSM, PDSM); the closed-world
+    family's [semantics_in] records ask each oracle query of the engine
+    directly and have no engine-free procedure. *)
 
 val formula_of_lit : Lit.t -> Formula.t

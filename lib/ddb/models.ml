@@ -93,6 +93,41 @@ let entails db formula =
   | Solver.Sat -> false
   | Solver.Unsat -> true
 
+(* --- closed-world augmentations ---
+
+   The CWA family answers queries from DB augmented with negated atoms.
+   These are the fresh-solver forms; the memoizing engine runs the same
+   queries under assumptions on a shared solver. *)
+
+(* { x : DB ⊭ x }, Reiter's CWA closure set: n assumption solves on one
+   solver. *)
+let non_entailed_atoms db =
+  let solver = Db.solver db in
+  Interp.of_pred (Db.num_vars db) (fun x ->
+      match Solver.solve ~assumptions:[ Lit.Neg x ] solver with
+      | Solver.Sat -> true (* some model omits x *)
+      | Solver.Unsat -> false)
+
+(* Augmented theory DB ∪ { ¬x : x ∈ negs } as CNF. *)
+let augmented_cnf db negs =
+  Db.to_cnf db @ Interp.fold (fun x acc -> [ Lit.Neg x ] :: acc) negs []
+
+(* DB ∪ ¬negs ⊨ F: one SAT call on the augmented theory and ¬F. *)
+let augmented_entails db negs f =
+  let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
+  let solver =
+    Solver.of_clauses ~num_vars:n (augmented_cnf (Db.with_universe db n) negs)
+  in
+  let _ = Solver.add_formula solver ~next_var:n (Formula.not_ f) in
+  match Solver.solve solver with Solver.Sat -> false | Solver.Unsat -> true
+
+(* DB ∪ ¬negs has a model: one SAT call. *)
+let augmented_has_model db negs =
+  let solver =
+    Solver.of_clauses ~num_vars:(Db.num_vars db) (augmented_cnf db negs)
+  in
+  match Solver.solve solver with Solver.Sat -> true | Solver.Unsat -> false
+
 (* --- brute-force references (small universes) --- *)
 
 let brute_models db =

@@ -26,5 +26,23 @@ val minimal_entails : ?part:Partition.t -> Db.t -> Formula.t -> bool
 val entails : Db.t -> Formula.t -> bool
 (** Classical DB ⊨ F: one SAT call. *)
 
+(** {1 Closed-world augmentations}
+
+    Fresh-solver forms of the queries the CWA family (CWA, GCWA, CCWA,
+    DDR) asks of DB ∪ {¬x : x ∈ negs}. *)
+
+val non_entailed_atoms : Db.t -> Interp.t
+(** [{x : DB ⊭ x}] — Reiter's CWA closure set, n assumption solves. *)
+
+val augmented_cnf : Db.t -> Interp.t -> Lit.t list list
+(** DB ∪ {¬x : x ∈ negs} as CNF. *)
+
+val augmented_entails : Db.t -> Interp.t -> Formula.t -> bool
+(** [DB ∪ {¬x : x ∈ negs} ⊨ F]: one SAT call; the universe is padded to
+    cover [F]. *)
+
+val augmented_has_model : Db.t -> Interp.t -> bool
+(** [DB ∪ {¬x : x ∈ negs}] has a model: one SAT call. *)
+
 val brute_models : Db.t -> Interp.t list
 val brute_minimal_models : ?part:Partition.t -> Db.t -> Interp.t list

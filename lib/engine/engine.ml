@@ -7,8 +7,8 @@ open Ddb_db
    Every semantics of the paper bottoms out in the same primitive oracle
    queries — satisfiability of the (possibly augmented) database, minimal-
    model checks, support-set computation, minimal-model enumeration.  The
-   modules in lib/core each re-derive these from scratch per query; this
-   engine is the shared context they can route through instead:
+   closed-world modules of lib/core ask every such query of an engine, so
+   this is the one place each of them is implemented:
 
      - theories are *canonicalized* (clauses sorted and deduplicated) and
        hash-consed into integer keys, so syntactically shuffled copies of
@@ -23,17 +23,18 @@ open Ddb_db
      - results of the expensive oracles (support sets, minimal-model
        enumerations, entailment answers, single-atom minimal-model
        queries, per-semantics decision answers) are memoized per canonical
-       key.  A cold query makes the direct path's SAT calls: the memo never
-       makes a first answer dearer;
+       key.  A cold query makes the cache-disabled engine's SAT calls: the
+       memo never makes a first answer dearer;
      - every operation is instrumented: oracle calls, cache hits/misses,
        and — through {!Stats} — SAT solve calls, conflicts, decisions,
        propagations and wall time, attributable per semantics via
        {!scoped}.
 
    An engine created with [~cache:false] bypasses the memo tables *and* the
-   shared solvers, replicating the original direct path of lib/core bit for
-   bit — that is the ablation baseline the cache-soundness tests and the
-   bench harness compare against. *)
+   shared solvers: every op runs on a fresh solver (the augmentation
+   queries through {!Models}).  That is the ablation baseline the
+   cache-soundness tests, the golden oracle-count test and the bench
+   harness measure against. *)
 
 (* ------------------------------------------------------------------ *)
 (* Counters and stats                                                  *)
@@ -124,15 +125,15 @@ let qkey ?(negs = []) ?part ?form ?(arg = -1) theory op =
   { theory; op; negs; sect; form; arg }
 
 type t = {
-  mutable cache : bool;
+  cache : bool;
   (* Fragment fast-path dispatch gate: with it off, the dispatch layer in
      lib/core routes every query through the generic oracle path — the
      ablation baseline of BENCH_fastpath.json and `ddbtool --no-fastpath`. *)
-  mutable fastpath : bool;
+  fastpath : bool;
   (* Latency histograms + hit/miss counters per oracle kind.  [profile]
      gates their upkeep exactly like the trace flag gates spans: with both
      off every op body pays one boolean load. *)
-  mutable profile : bool;
+  profile : bool;
   metrics : Ddb_obs.Metrics.t;
   total : counters;
   per_scope : (string, counters) Hashtbl.t;
@@ -166,13 +167,8 @@ let create ?(cache = true) ?(fastpath = true) ?(profile = false) () =
     frags = Hashtbl.create 64;
   }
 
-let default = create ()
-
-let set_cache t flag = t.cache <- flag
 let cache_enabled t = t.cache
-let set_fastpath t flag = t.fastpath <- flag
 let fastpath_enabled t = t.fastpath
-let set_profiling t flag = t.profile <- flag
 let profiling t = t.profile
 let metrics t = t.metrics
 let metrics_json t = Ddb_obs.Metrics.to_json t.metrics
@@ -337,37 +333,6 @@ let memo t tbl key compute =
       v
 
 (* ------------------------------------------------------------------ *)
-(* Direct (uncached) oracle implementations — the original lib/core     *)
-(* paths, reproduced here so a cache-disabled engine is the ablation    *)
-(* baseline.                                                            *)
-
-let direct_augmented_cnf db negs =
-  Db.to_cnf db @ Interp.fold (fun x acc -> [ Lit.Neg x ] :: acc) negs []
-
-let direct_augmented_entails db negs f =
-  let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
-  let solver =
-    Solver.of_clauses ~num_vars:n
-      (direct_augmented_cnf (Db.with_universe db n) negs)
-  in
-  let _ = Solver.add_formula solver ~next_var:n (Formula.not_ f) in
-  match Solver.solve solver with Solver.Sat -> false | Solver.Unsat -> true
-
-let direct_augmented_has_model db negs =
-  let solver =
-    Solver.of_clauses ~num_vars:(Db.num_vars db) (direct_augmented_cnf db negs)
-  in
-  match Solver.solve solver with Solver.Sat -> true | Solver.Unsat -> false
-
-let direct_non_entailed_atoms db =
-  let n = Db.num_vars db in
-  let solver = Db.solver db in
-  Interp.of_pred n (fun x ->
-      match Solver.solve ~assumptions:[ Lit.Neg x ] solver with
-      | Solver.Sat -> true
-      | Solver.Unsat -> false)
-
-(* ------------------------------------------------------------------ *)
 (* Shared-solver query plumbing (the cached path)                      *)
 
 (* The Tseitin output literal for [f] on the shared solver: encoded once,
@@ -408,7 +373,7 @@ let sat t db =
 let augmented_has_model t db negs =
   tick t;
   instrumented t ~op:"aug_sat" db (fun () ->
-      if not t.cache then direct_augmented_has_model db negs
+      if not t.cache then Models.augmented_has_model db negs
       else begin
         let key = theory_key t db in
         memo t t.bools
@@ -429,7 +394,7 @@ let augmented_entails t db negs f =
   let n = max (Db.num_vars db) (Formula.max_atom f + 1) in
   let db = Db.with_universe db n in
   instrumented t ~op:"aug_entails" db (fun () ->
-      if not t.cache then direct_augmented_entails db negs f
+      if not t.cache then Models.augmented_entails db negs f
       else begin
         let key = theory_key t db in
         memo t t.bools
@@ -463,7 +428,7 @@ let negated_atoms t db part =
 (* Is x true in some (P;Z)-minimal model?  The single constrained
    minimal-model query of the paper's Π₂ᵖ bound for GCWA/CCWA ¬x.  A cached
    engine reads the answer off the support set when that is memoized
-   already, and otherwise runs the same query as a direct engine and
+   already, and otherwise runs the same query as a cache-disabled engine and
    memoizes its answer per (theory, partition, atom) — computing the whole
    support set would take one search per answer instead of one. *)
 let in_some_minimal t db part x =
@@ -524,7 +489,7 @@ let minimal_entails ?part t db f =
 let non_entailed_atoms t db =
   tick t;
   instrumented t ~op:"non_entailed" db (fun () ->
-      if not t.cache then direct_non_entailed_atoms db
+      if not t.cache then Models.non_entailed_atoms db
       else begin
         let key = theory_key t db in
         memo t t.interps (qkey key "non_entailed") (fun () ->
@@ -553,13 +518,16 @@ let cached_bool ?part ?formula ?(arg = -1) t ~sem ~op db compute =
 (* Fragment classification and polynomial fast paths                   *)
 
 (* One syntactic classification per hash-consed theory (cached engines);
-   direct engines recompute per query, mirroring their fresh-solver
+   cache-disabled engines recompute per query, mirroring their fresh-solver
    discipline — and keeping their hash-cons table (the "theories" stat)
    empty.  Classification is pure syntax, never an oracle call: it bumps
-   only the [classifications] counter. *)
+   only the [classifications] counter, and only in the total — one
+   classification serves every semantics asking about the theory, so no
+   semantics' bucket is charged for it, whichever scope the first query
+   ran in. *)
 let classify t db =
   let compute () =
-    bump (fun c -> c.classifications <- c.classifications + 1) t;
+    t.total.classifications <- t.total.classifications + 1;
     Ddb_frag.Frag.info db
   in
   if not t.cache then compute ()

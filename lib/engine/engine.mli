@@ -12,37 +12,29 @@ open Ddb_db
     (oracle calls, cache hits/misses, SAT effort, wall time — attributable
     per semantics via {!scoped}).
 
-    A cache-disabled engine ([create ~cache:false]) replicates the original
-    direct path of [lib/core] exactly: fresh solver per query, no memo
-    tables.  It is the ablation baseline the cache-soundness tests and the
-    bench harness compare against. *)
+    Every closed-world decision procedure of [lib/core] asks its oracle
+    queries of an engine; there is no second, engine-free copy.  A
+    cache-disabled engine ([create ~cache:false]) runs each query on a
+    fresh solver with no memo tables.  Together with [~fastpath:false] it
+    is the ablation baseline: the cache-soundness tests, the golden
+    oracle-count test and the bench harness measure against it. *)
 
 type t
 
 val create : ?cache:bool -> ?fastpath:bool -> ?profile:bool -> unit -> t
-(** A fresh engine; [cache] defaults to [true].  [fastpath] (default
-    [true]) gates the fragment fast-path dispatch layer of
-    [Ddb_core.Fastpath]: with it off every query runs the generic oracle
-    path — the ablation baseline.  [profile] (default [false]) turns on
-    per-oracle-kind latency histograms and hit/miss counters in the
-    engine's {!Ddb_obs.Metrics} registry; with it off — and no trace
-    active — every oracle op pays a single boolean test. *)
-
-val default : t
-(** The process-wide engine the convenience wrappers in [lib/core] use. *)
-
-val set_cache : t -> bool -> unit
-(** Flip the cached/direct flag (existing memo entries are kept but not
-    consulted while the flag is off). *)
+(** A fresh engine.  The three flags are fixed for the engine's lifetime.
+    [cache] (default [true]) turns on the memo tables and the per-theory
+    shared solvers; with it off every op runs on a fresh solver.
+    [fastpath] (default [true]) gates the fragment fast-path dispatch
+    layer of [Ddb_core.Fastpath]: with it off every query runs the generic
+    oracle path.  [create ~cache:false ~fastpath:false ()] is the ablation
+    baseline.  [profile] (default [false]) turns on per-oracle-kind
+    latency histograms and hit/miss counters in the engine's
+    {!Ddb_obs.Metrics} registry; with it off — and no trace active — every
+    oracle op pays a single boolean test. *)
 
 val cache_enabled : t -> bool
-
-val set_fastpath : t -> bool -> unit
-(** Flip the fragment fast-path gate (see {!create}). *)
-
 val fastpath_enabled : t -> bool
-
-val set_profiling : t -> bool -> unit
 val profiling : t -> bool
 
 val reset : t -> unit
@@ -61,7 +53,8 @@ val theory_key : t -> Db.t -> int
 
     Each operation counts as one engine oracle call.  Cached engines answer
     repeats from the memo tables and run fresh queries on the theory's
-    shared incremental solver; direct engines recompute from scratch. *)
+    shared incremental solver; cache-disabled engines recompute from
+    scratch on a fresh solver. *)
 
 val sat : t -> Db.t -> bool
 (** DB consistency — one SAT call. *)
@@ -87,8 +80,8 @@ val negated_atoms : t -> Db.t -> Partition.t -> Interp.t
 val in_some_minimal : t -> Db.t -> Partition.t -> int -> bool
 (** Is the atom true in some (P;Z)-minimal model?  One constrained
     minimal-model search ({!Ddb_sat.Minimal.find_minimal_such_that}), the
-    same on both paths, so a cold cached engine makes exactly the direct
-    path's SAT calls.  A cached engine memoizes the answer per (theory,
+    same on both paths, so a cold cached engine makes exactly the
+    cache-disabled engine's SAT calls.  A cached engine memoizes the answer per (theory,
     partition, atom), and answers from the support set instead when that
     is memoized already.
 
@@ -120,13 +113,13 @@ val cached_bool :
 (** Generic per-semantics decision memo for procedures the engine does not
     decompose: canonicalizes the database, keys on
     [(sem, op, part, formula, arg)], instruments, and delegates to the
-    thunk on a miss (or always, for direct engines). *)
+    thunk on a miss (or always, for cache-disabled engines). *)
 
 (** {1 Fragment classification and fast paths}
 
     The syntactic fragment classifier ({!Ddb_frag.Frag}) runs once per
-    hash-consed theory on cached engines (per query on direct engines,
-    which keep no tables) and its result — including the lazily computed
+    hash-consed theory on cached engines (per query on cache-disabled
+    engines, which keep no tables) and its result — including the lazily computed
     canonical models — is shared by every subsequent query on that theory.
     The dispatch layer in [Ddb_core.Fastpath] consults it to route
     tractable (semantics, problem, fragment) cells to polynomial
@@ -134,7 +127,8 @@ val cached_bool :
 
 val classify : t -> Db.t -> Ddb_frag.Frag.info
 (** Cached classification of the database's theory.  Bumps the
-    [classifications] counter only when a classification actually runs. *)
+    [classifications] counter only when a classification actually runs,
+    and only in {!totals}: per-semantics buckets never count one. *)
 
 val fastpath_hit :
   t -> op:string -> Db.t -> (unit -> 'a) -> 'a

@@ -59,77 +59,14 @@ let pm_literals db =
     (fun x -> [ Lit.Neg x; Lit.Pos x ])
     (List.init (Db.num_vars db) Fun.id)
 
-let literal_sweep t ?sems db =
-  let names = default_sems db sems in
-  let lits = pm_literals db in
-  let items = List.concat_map (fun n -> List.map (fun l -> (n, l)) lits) names in
-  let answers =
-    map t
-      (fun ~worker (name, l) ->
-        (sem_for t ~worker name).Semantics.infer_literal db l)
-      items
-  in
-  (* items are name-major: cut the flat answer list back per semantics *)
-  let per_sem = List.length lits in
-  let rec split names answers =
-    match names with
-    | [] -> []
-    | name :: rest ->
-      let mine = List.filteri (fun i _ -> i < per_sem) answers in
-      let others = List.filteri (fun i _ -> i >= per_sem) answers in
-      (name, List.combine lits mine) :: split rest others
-  in
-  split names answers
+(* --- sweeps ---
 
-let all_semantics t ?sems db f =
-  let names = default_sems db sems in
-  map t ~chunk_size:1
-    (fun ~worker name ->
-      (name, (sem_for t ~worker name).Semantics.infer_formula db f))
-    names
-
-let exists_sweep t ?sems db =
-  let names = default_sems db sems in
-  map t ~chunk_size:1
-    (fun ~worker name ->
-      (name, (sem_for t ~worker name).Semantics.has_model db))
-    names
-
-let instance_sweep t ?sems dbs =
-  let items =
-    List.concat_map
-      (fun db -> List.map (fun name -> (db, name)) (default_sems db sems))
-      dbs
-  in
-  let swept =
-    map t ~chunk_size:1
-      (fun ~worker (db, name) ->
-        let s = sem_for t ~worker name in
-        ( name,
-          List.map (fun l -> (l, s.Semantics.infer_literal db l)) (pm_literals db)
-        ))
-      items
-  in
-  (* regroup the flat (instance-major) result per instance *)
-  let rec split dbs swept =
-    match dbs with
-    | [] -> []
-    | db :: rest ->
-      let k = List.length (default_sems db sems) in
-      let mine = List.filteri (fun i _ -> i < k) swept in
-      let others = List.filteri (fun i _ -> i >= k) swept in
-      mine :: split rest others
-  in
-  split dbs swept
-
-(* --- budgeted (three-valued) sweeps ---
-
-   Same shapes as the boolean sweeps, but every cell runs under its own
-   fresh budget token minted from [limits] inside the task — which is what
-   makes per-cell wall deadlines meaningful (each cell's clock starts when
-   the cell starts) and keeps logical caps context-free per cell.  With
-   [cancel_on_error] the tokens additionally join the group, so one task
-   exception degrades the remaining cells to [Cancelled] instead of
+   Every cell runs under its own fresh budget token minted from [limits]
+   inside the task — which is what makes per-cell wall deadlines
+   meaningful (each cell's clock starts when the cell starts) and keeps
+   logical caps context-free per cell; [Budget.no_limits] never trips.
+   With [cancel_on_error] the tokens additionally join the group, so one
+   task exception degrades the remaining cells to [Cancelled] instead of
    hanging the sweep.  For cache-disabled, pinned-or-not batches under
    purely logical caps the set of [Unknown] cells is identical at every
    job count (the parallel-determinism law in test/test_budget.ml). *)
@@ -179,6 +116,37 @@ let exists_sweep3 t ?sems ?retry ?cancel_on_error ~limits db =
         budgeted_cell t ?retry ?group:cancel_on_error ~worker ~limits name
           (fun () -> s.Semantics.has_model db) ))
     names
+
+let instance_sweep3 t ?sems ?retry ?cancel_on_error ~limits dbs =
+  let items =
+    List.concat_map
+      (fun db -> List.map (fun name -> (db, name)) (default_sems db sems))
+      dbs
+  in
+  let swept =
+    map t ?cancel_on_error ~chunk_size:1
+      (fun ~worker (db, name) ->
+        let s = sem_for t ~worker name in
+        ( name,
+          List.map
+            (fun l ->
+              ( l,
+                budgeted_cell t ?retry ?group:cancel_on_error ~worker ~limits
+                  name (fun () -> s.Semantics.infer_literal db l) ))
+            (pm_literals db) ))
+      items
+  in
+  (* regroup the flat (instance-major) result per instance *)
+  let rec split dbs swept =
+    match dbs with
+    | [] -> []
+    | db :: rest ->
+      let k = List.length (default_sems db sems) in
+      let mine = List.filteri (fun i _ -> i < k) swept in
+      let others = List.filteri (fun i _ -> i >= k) swept in
+      mine :: split rest others
+  in
+  split dbs swept
 
 let totals t = Engine.merge_stats (engines t)
 let metrics_json t = Engine.merged_metrics_json (engines t)

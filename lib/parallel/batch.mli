@@ -11,8 +11,8 @@ open Ddb_db
 
     All sweeps are order-stable (index-tagged chunks reassembled by
     position, see {!Parallel}): answers are bit-identical for every job
-    count, and equal to the sequential [Registry.all_in] path — a qcheck
-    property in [test/test_parallel.ml].
+    count, and equal to the sequential [Registry.in_exn] path on one
+    engine — a qcheck property in [test/test_parallel.ml].
 
     Databases are shared across workers read-only; do not grow a database's
     vocabulary concurrently with a sweep.  Workers may force a shared
@@ -59,41 +59,18 @@ val with_batch :
 
     [sems] selects semantics by registry name and defaults to every
     semantics applicable to the database, in registry order.  Unknown names
-    raise [Invalid_argument]. *)
+    raise [Invalid_argument].
 
-val literal_sweep :
-  t -> ?sems:string list -> Db.t -> (string * (Lit.t * bool) list) list
-(** Every ± literal of the universe under every selected semantics
-    ([¬x] then [x], for [x = 0 .. n-1]) — the closed-world query workload
-    of [ddbtool stats], fanned out per (semantics, literal chunk). *)
-
-val all_semantics :
-  t -> ?sems:string list -> Db.t -> Formula.t -> (string * bool) list
-(** Formula inference under every selected semantics, one task each. *)
-
-val exists_sweep :
-  t -> ?sems:string list -> Db.t -> (string * bool) list
-(** Model existence under every selected semantics, one task each. *)
-
-val instance_sweep :
-  t -> ?sems:string list -> Db.t list -> (string * (Lit.t * bool) list) list list
-(** {!literal_sweep} over a list of instances, one task per
-    (instance, semantics) pair — the batch shape of the bench harness's
-    seeded random-DB sweeps.  Result [i] is instance [i]'s sweep. *)
-
-(** {2 Budgeted (three-valued) sweeps}
-
-    Same shapes, but every cell runs under its own fresh
-    {!Ddb_budget.Budget} token minted from [limits] inside the task —
-    per-cell wall deadlines start when the cell starts; logical caps are
-    context-free per cell.  Degraded cells answer
-    [Unknown]; definite answers are exactly those of the boolean sweeps.
-    [retry] is the engine's escalate-once ladder (default off).
-    [cancel_on_error] doubles as the cells' cancellation group: the first
-    task exception cancels it, degrading the remaining cells to
-    [Unknown Cancelled] while the pool still drains.  With cache-disabled
-    shards and purely logical caps the set of [Unknown] cells is identical
-    at every job count. *)
+    Every cell runs under its own fresh {!Ddb_budget.Budget} token minted
+    from [limits] inside the task — per-cell wall deadlines start when the
+    cell starts; logical caps are context-free per cell.  Degraded cells
+    answer [Unknown]; pass [Budget.no_limits] for an unbounded sweep, whose
+    answers are all definite.  [retry] is the engine's escalate-once ladder
+    (default off).  [cancel_on_error] doubles as the cells' cancellation
+    group: the first task exception cancels it, degrading the remaining
+    cells to [Unknown Cancelled] while the pool still drains.  With
+    cache-disabled shards and purely logical caps the set of [Unknown]
+    cells is identical at every job count. *)
 
 val literal_sweep3 :
   t ->
@@ -103,6 +80,9 @@ val literal_sweep3 :
   limits:Ddb_budget.Budget.limits ->
   Db.t ->
   (string * (Lit.t * Ddb_engine.Engine.answer) list) list
+(** Every ± literal of the universe under every selected semantics
+    ([¬x] then [x], for [x = 0 .. n-1]) — the closed-world query workload
+    of [ddbtool stats], fanned out per (semantics, literal). *)
 
 val all_semantics3 :
   t ->
@@ -113,6 +93,7 @@ val all_semantics3 :
   Db.t ->
   Formula.t ->
   (string * Ddb_engine.Engine.answer) list
+(** Formula inference under every selected semantics, one task each. *)
 
 val exists_sweep3 :
   t ->
@@ -122,6 +103,19 @@ val exists_sweep3 :
   limits:Ddb_budget.Budget.limits ->
   Db.t ->
   (string * Ddb_engine.Engine.answer) list
+(** Model existence under every selected semantics, one task each. *)
+
+val instance_sweep3 :
+  t ->
+  ?sems:string list ->
+  ?retry:bool ->
+  ?cancel_on_error:Ddb_budget.Budget.group ->
+  limits:Ddb_budget.Budget.limits ->
+  Db.t list ->
+  (string * (Lit.t * Ddb_engine.Engine.answer) list) list list
+(** {!literal_sweep3} over a list of instances, one task per
+    (instance, semantics) pair — the batch shape of the bench harness's
+    seeded random-DB sweeps.  Result [i] is instance [i]'s sweep. *)
 
 (** {1 Merged instrumentation} *)
 

@@ -67,5 +67,5 @@ let minimal_vertex_covers ?limit ?truncated g =
 (* Is vertex v avoidable, i.e. outside some minimal cover?  GCWA view:
    avoidable iff NOT (GCWA ⊨ in_v)... more precisely the Π₂ᵖ query we bench
    is GCWA(DB) ⊨ ¬in_v: v belongs to no minimal cover. *)
-let never_in_minimal_cover g v =
-  Ddb_core.Gcwa.infer_literal (vertex_cover_db g) (Lit.Neg v)
+let never_in_minimal_cover eng g v =
+  Ddb_core.Gcwa.infer_literal_in eng (vertex_cover_db g) (Lit.Neg v)

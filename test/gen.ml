@@ -143,3 +143,24 @@ let qcheck_count default =
 let interp_list_equal a b =
   let a = List.sort Interp.compare a and b = List.sort Interp.compare b in
   List.length a = List.length b && List.for_all2 Interp.equal a b
+
+(* A fresh ablation engine: no memo, no fast paths — every query runs the
+   generic oracle procedures on fresh solvers. *)
+let ablation () = Ddb_engine.Engine.create ~cache:false ~fastpath:false ()
+
+(* Every registry semantics on the engine, in registry order. *)
+let records eng = List.map (Ddb_core.Registry.in_exn eng) Ddb_core.Registry.names
+
+(* Brute-force reference answers of a registry record, [None] where its
+   reference models are not the entailment base: PDSM's are three-valued
+   (it has laws of its own), and ICWA existence is the paper's O(1) "yes"
+   for every stratified database, which integrity clauses can falsify. *)
+let reference_has_model (s : Ddb_core.Semantics.t) db =
+  let open Ddb_core.Semantics in
+  if s.name = "pdsm" || (s.name = "icwa" && Db.has_integrity db) then None
+  else Some (reference_has_model s.reference_models db)
+
+let reference_infer (s : Ddb_core.Semantics.t) db f =
+  let open Ddb_core.Semantics in
+  if s.name = "pdsm" then None
+  else Some (reference_infer s.reference_models (for_query db f) f)

@@ -149,7 +149,7 @@ let sequential_bool_sweep db =
     (fun sem ->
       ( sem,
         List.map
-          (fun l -> (l, Registry.infer_literal_in eng ~sem db l))
+          (fun l -> (l, (Registry.in_exn eng sem).Semantics.infer_literal db l))
           (pm_literals db) ))
     (Registry.applicable_names db)
 
@@ -211,7 +211,7 @@ let unlimited_equals_old_api () =
     (fun sem ->
       List.iter
         (fun l ->
-          let e = Registry.infer_literal_in ref_eng ~sem db l in
+          let e = (Registry.in_exn ref_eng sem).Semantics.infer_literal db l in
           check answer
             (Printf.sprintf "%s %s" sem (Lit.to_string l))
             (Budget.of_bool e)
@@ -244,7 +244,7 @@ let fault_memo_soundness () =
   let sem = "gcwa" in
   let expect =
     let e = Engine.create () in
-    Registry.infer_literal_in e ~sem db l
+    (Registry.in_exn e sem).Semantics.infer_literal db l
   in
   let fired_at_least_once = ref false in
   for k = 0 to 8 do
@@ -271,7 +271,7 @@ let fault_memo_soundness () =
     check bool
       (Printf.sprintf "k=%d post-fault requery is correct" k)
       expect
-      (Registry.infer_literal_in eng ~sem db l)
+      ((Registry.in_exn eng sem).Semantics.infer_literal db l)
   done;
   check bool "the sweep exercised the fault" true !fired_at_least_once
 
@@ -280,7 +280,7 @@ let fault_solver_failure () =
   let sem = "egcwa" in
   let expect =
     let e = Engine.create () in
-    Registry.has_model_in e ~sem db
+    (Registry.in_exn e sem).Semantics.has_model db
   in
   let eng = Engine.create () in
   Budget.Fault.arm ~kind:Budget.Fault.Solver_failure ~after:0 ();
@@ -290,7 +290,7 @@ let fault_solver_failure () =
   check bool "the fault disarmed itself" false (Budget.Fault.armed ());
   Budget.Fault.disarm ();
   (* a simulated crash does not poison the engine *)
-  check bool "engine recovers" expect (Registry.has_model_in eng ~sem db)
+  check bool "engine recovers" expect ((Registry.in_exn eng sem).Semantics.has_model db)
 
 (* --- pool draining under cancel-on-error --- *)
 

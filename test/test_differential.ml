@@ -24,10 +24,11 @@ let qcheck_ddr_implies_gcwa =
       let rand = rand_of seed in
       let num_vars = 1 + Random.State.int rand 6 in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars) in
+      let eng = Gen.ablation () in
       List.for_all
         (fun x ->
-          (not (Ddr.infer_literal db (Lit.Neg x)))
-          || Gcwa.infer_literal db (Lit.Neg x))
+          (not (Ddr.infer_literal_in eng db (Lit.Neg x)))
+          || Gcwa.infer_literal_in eng db (Lit.Neg x))
         (List.init num_vars Fun.id))
 
 (* Every minimal model of DB is a model of GCWA(DB) = DB ∪ {¬x : x in no
@@ -40,7 +41,8 @@ let qcheck_gcwa_implies_egcwa =
       let num_vars = 1 + Random.State.int rand 6 in
       let db = Gen.positive_db rand ~num_vars ~num_clauses:(2 * num_vars) in
       let f = Gen.random_formula rand num_vars ~depth:3 in
-      (not (Gcwa.infer_formula db f)) || Egcwa.infer_formula db f)
+      let eng = Gen.ablation () in
+      (not (Gcwa.infer_formula_in eng db f)) || Egcwa.infer_formula_in eng db f)
 
 (* ECWA coincides with parallel predicate circumscription in the finite
    propositional case (the two modules implement the two definitions
@@ -53,7 +55,8 @@ let qcheck_ecwa_equals_circ =
       let db = Gen.dndb rand ~num_vars ~num_clauses:(2 * num_vars) in
       let part = Gen.random_partition rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:3 in
-      Ecwa.infer_formula db part f = Circ.infer_formula db part f)
+      Ecwa.infer_formula_in (Gen.ablation ()) db part f
+      = Circ.infer_formula db part f)
 
 (* The SAT-based minimize-then-block enumeration must produce exactly the
    brute-force minimal models. *)
@@ -66,12 +69,13 @@ let qcheck_minimal_models_coincide =
       Gen.interp_list_equal (Models.minimal_models db)
         (Models.brute_minimal_models db))
 
-(* Cached and cache-disabled engines agree with the seed path on every
-   applicable registry semantics (fresh engines per case, so each case
-   exercises the cold-cache, warm-cache and direct paths). *)
+(* Cached and uncached engines agree with the brute-force reference
+   engines on every applicable registry semantics (fresh engines per case,
+   so each case exercises the cold-cache, warm-cache and uncached
+   paths). *)
 let qcheck_cached_equals_uncached =
   QCheck.Test.make ~count:(count 25)
-    ~name:"engine: cached ≡ uncached ≡ seed on all semantics" seeds
+    ~name:"engine: cached ≡ uncached ≡ reference on all semantics" seeds
     (fun seed ->
       let rand = rand_of seed in
       let num_vars = 1 + Random.State.int rand 5 in
@@ -79,22 +83,29 @@ let qcheck_cached_equals_uncached =
       let x = Random.State.int rand num_vars in
       let f = Gen.random_formula rand num_vars ~depth:2 in
       let cached = Engine.create ~cache:true () in
-      let direct = Engine.create ~cache:false () in
-      List.for_all2
-        (fun (s : Semantics.t) ((sc : Semantics.t), (sd : Semantics.t)) ->
-          (not (s.Semantics.applicable db))
+      let uncached = Gen.ablation () in
+      List.for_all
+        (fun name ->
+          let sc = Registry.in_exn cached name in
+          let su = Registry.in_exn uncached name in
+          let reference = Gen.reference_infer sc db in
+          (not (sc.Semantics.applicable db))
           || List.for_all
-               (fun (q : Semantics.t -> bool) -> q s = q sc && q s = q sd)
+               (fun ((q : Semantics.t -> bool), expect) ->
+                 let a = q su in
+                 q sc = a && Option.fold ~none:true ~some:(( = ) a) expect)
                [
-                 (fun s -> s.Semantics.has_model db);
-                 (fun s -> s.Semantics.infer_literal db (Lit.Neg x));
-                 (fun s -> s.Semantics.infer_literal db (Lit.Pos x));
+                 ( (fun s -> s.Semantics.has_model db),
+                   Gen.reference_has_model sc db );
+                 ( (fun s -> s.Semantics.infer_literal db (Lit.Neg x)),
+                   reference (Formula.Not (Formula.Atom x)) );
+                 ( (fun s -> s.Semantics.infer_literal db (Lit.Pos x)),
+                   reference (Formula.Atom x) );
                  (* twice: the second answer comes from the warm cache *)
-                 (fun s -> s.Semantics.infer_formula db f);
-                 (fun s -> s.Semantics.infer_formula db f);
+                 ((fun s -> s.Semantics.infer_formula db f), reference f);
+                 ((fun s -> s.Semantics.infer_formula db f), reference f);
                ])
-        Registry.all
-        (List.combine (Registry.all_in cached) (Registry.all_in direct)))
+        Registry.names)
 
 let suites =
   [

@@ -163,7 +163,7 @@ let qcheck_iterated_model =
 let classification_cached_once () =
   let db = Db.of_string "a. b :- a. c | d :- b." in
   let eng = Engine.create () in
-  let sems = Registry.all_in eng in
+  let sems = Gen.records eng in
   List.iter
     (fun (s : Semantics.t) ->
       if s.Semantics.applicable db then begin
@@ -184,7 +184,7 @@ let classification_cached_once () =
 let classification_uncached_on_direct () =
   let db = Db.of_string "a. b :- a." in
   let eng = Engine.create ~cache:false () in
-  let s = List.hd (Registry.all_in eng) in
+  let s = Registry.in_exn eng "cwa" in
   ignore (s.Semantics.has_model db);
   ignore (s.Semantics.has_model db);
   check "direct engines reclassify per query" true
@@ -201,10 +201,11 @@ let qcheck_fastpath_differential =
       let db = Gen.family_db seed rand ~num_vars in
       let f = Gen.random_formula rand num_vars ~depth:3 in
       let run ~jobs ~fastpath =
+        let limits = Ddb_budget.Budget.no_limits in
         Batch.with_batch ~jobs ~fastpath (fun b ->
-            ( Batch.literal_sweep b db,
-              Batch.exists_sweep b db,
-              Batch.all_semantics b db f ))
+            ( Batch.literal_sweep3 b ~limits db,
+              Batch.exists_sweep3 b ~limits db,
+              Batch.all_semantics3 b ~limits db f ))
       in
       let reference = run ~jobs:1 ~fastpath:false in
       List.for_all
@@ -221,14 +222,14 @@ let fastpath_hits_on_tractable () =
   List.iter
     (fun (s : Semantics.t) ->
       if s.Semantics.applicable db then ignore (s.Semantics.has_model db))
-    (Registry.all_in eng);
+    (Gen.records eng);
   check "hits > 0" true ((Engine.totals eng).Engine.fastpath_hits > 0);
   (* and must not fire when disabled *)
   let eng' = Engine.create ~fastpath:false () in
   List.iter
     (fun (s : Semantics.t) ->
       if s.Semantics.applicable db then ignore (s.Semantics.has_model db))
-    (Registry.all_in eng');
+    (Gen.records eng');
   check_int "disabled: no hits" 0 (Engine.totals eng').Engine.fastpath_hits;
   check_int "disabled: no misses recorded" 0
     (Engine.totals eng').Engine.fastpath_misses

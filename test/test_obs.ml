@@ -6,6 +6,12 @@ module Stats = Ddb_sat.Stats
 module Trace = Ddb_obs.Trace
 module Metrics = Ddb_obs.Metrics
 module Engine = Ddb_engine.Engine
+module Registry = Ddb_core.Registry
+module Semantics = Ddb_core.Semantics
+
+(* An unbudgeted literal sweep: every cell under [Budget.no_limits]. *)
+let literal_sweep b db =
+  Batch.literal_sweep3 b ~limits:Ddb_budget.Budget.no_limits db
 
 (* Tests for the observability layer: the Stats.merge monoid (qcheck), the
    Metrics registry (merge algebra, percentile sanity, deterministic JSON),
@@ -187,9 +193,10 @@ let traced_engine_run () =
       List.iter
         (fun sem ->
           List.iter
-            (fun l -> ignore (Ddb_core.Registry.infer_literal_in eng ~sem db l))
+            (fun l ->
+              ignore ((Registry.in_exn eng sem).Semantics.infer_literal db l))
             lits)
-        (Ddb_core.Registry.applicable_names db));
+        (Registry.applicable_names db));
   (Trace.dump (), Trace.to_string ())
 
 let engine_spans_present () =
@@ -218,7 +225,7 @@ let pinned_batch_trace_deterministic () =
   let run () =
     with_trace (fun () ->
         Batch.with_batch ~jobs:4 ~pinned:true (fun b ->
-            ignore (Batch.literal_sweep b db)));
+            ignore (literal_sweep b db)));
     (Trace.dump (), Trace.to_string ())
   in
   let events, a = run () in
@@ -254,10 +261,10 @@ let map_pinned_placement () =
 let pinned_sweep_equals_chunked () =
   let db = Random_db.with_integrity ~seed:7 ~num_vars:6 in
   let chunked =
-    Batch.with_batch ~jobs:4 (fun b -> Batch.literal_sweep b db)
+    Batch.with_batch ~jobs:4 (fun b -> literal_sweep b db)
   in
   let pinned =
-    Batch.with_batch ~jobs:4 ~pinned:true (fun b -> Batch.literal_sweep b db)
+    Batch.with_batch ~jobs:4 ~pinned:true (fun b -> literal_sweep b db)
   in
   check bool "pinned placement changes nothing observable" true
     (chunked = pinned)
@@ -268,8 +275,8 @@ let engine_profile_metrics () =
   let db = Random_db.with_integrity ~seed:13 ~num_vars:5 in
   let eng = Engine.create ~profile:true () in
   List.iter
-    (fun sem -> ignore (Ddb_core.Registry.has_model_in eng ~sem db))
-    (Ddb_core.Registry.applicable_names db);
+    (fun sem -> ignore ((Registry.in_exn eng sem).Semantics.has_model db))
+    (Registry.applicable_names db);
   let m = Engine.metrics eng in
   let total_hits_misses op =
     Metrics.counter_value m (op ^ ".hits") + Metrics.counter_value m (op ^ ".misses")
@@ -285,14 +292,14 @@ let engine_profile_metrics () =
     (contains json {|"engine.|});
   (* profiling off: the registry stays empty *)
   let quiet = Engine.create () in
-  ignore (Ddb_core.Registry.has_model_in quiet ~sem:"gcwa" db);
+  ignore ((Registry.in_exn quiet "gcwa").Semantics.has_model db);
   check (list (pair string int)) "no metrics without profile" []
     (Metrics.counter_values (Engine.metrics quiet))
 
 let batch_merged_metrics () =
   let db = Random_db.with_integrity ~seed:23 ~num_vars:5 in
   Batch.with_batch ~jobs:3 ~pinned:true ~profile:true (fun b ->
-      ignore (Batch.literal_sweep b db);
+      ignore (literal_sweep b db);
       let json = Batch.metrics_json b in
       check bool "merged shard metrics non-empty" true
         (contains json {|"engine.|});
