@@ -61,14 +61,10 @@ let schema_solver db part =
   Solver.add_clause solver selectors;
   solver
 
-(* Pin the original universe to [m]. *)
-let pin n m =
-  List.init n (fun x -> if Interp.mem m x then Lit.Pos x else Lit.Neg x)
-
 (* A model strictly below [m] found through the schema, if any. *)
 let find_below_schema db schema m =
   let n = Db.num_vars db in
-  match Solver.solve ~assumptions:(pin n m) schema with
+  match Solver.solve ~assumptions:(Minimal.pin n m) schema with
   | Solver.Unsat -> None
   | Solver.Sat ->
     let full = Solver.model ~universe:(2 * n) schema in

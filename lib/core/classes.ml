@@ -103,7 +103,9 @@ let claimed : entry list =
     e "ecwa" Table2 Exists Np Reconstructed;
     e "icwa" Table2 Literal Pi2 Stated;
     e "icwa" Table2 Formula Pi2 Stated;
-    e "icwa" Table2 Exists Const Stated; (* given a stratification *)
+    e "icwa" Table2 Exists Np Reconstructed;
+    (* O(1) given a stratification and no integrity clauses; with them,
+       = consistency of DB *)
     e "perf" Table2 Literal Pi2 Stated;
     e "perf" Table2 Formula Pi2 Stated;
     e "perf" Table2 Exists Sigma2 Stated;

@@ -118,8 +118,17 @@ let infer_literal db part l = infer_formula db part (Formula.of_lit l)
 
 (* The paper: "Stratifiability asserts consistency; if DB is stratified by
    S, then ICWA is consistent for any ⟨P;Q;Z⟩" — an O(1) answer given the
-   stratification. *)
-let has_model db = Stratify.is_stratified db
+   stratification, which holds when there are no integrity clauses.  An
+   integrity clause can exclude every model, and then ICWA has none.  In
+   general ICWA has a model iff DB has one: DB' is classically equivalent
+   to DB, and among the models of DB' agreeing with some model on Q, one
+   that is lexicographically minimal on P1, ..., Pr lies in every
+   stratum's ECWA set.  So existence with integrity clauses is one
+   consistency call, asked of [sat]. *)
+let has_model_with sat db =
+  Stratify.is_stratified db && ((not (Db.has_integrity db)) || sat db)
+
+let has_model = has_model_with Models.has_model
 
 let reference_models db part =
   match prepare db part with
@@ -146,5 +155,9 @@ let semantics : Semantics.t =
       (fun db -> reference_models db (Partition.minimize_all (Db.num_vars db)));
   }
 
-(* Engine routing: answers memoized and instrumented per semantics. *)
-let semantics_in eng = Semantics.via_engine eng semantics
+(* Engine routing: answers memoized and instrumented per semantics; the
+   consistency call of existence goes to the engine's [sat] oracle, so a
+   warm engine answers it from the memo. *)
+let semantics_in eng =
+  Semantics.via_engine eng
+    { semantics with has_model = has_model_with (Ddb_engine.Engine.sat eng) }

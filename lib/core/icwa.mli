@@ -3,7 +3,9 @@ open Ddb_db
 
 (** ICWA — the Iterated CWA for stratified databases: the intersection of
     per-stratum ECWAs over the negation-shifted database (capturing PERF
-    under stratified negation).  Existence is O(1) given stratifiability. *)
+    under stratified negation).  Existence is O(1) given stratifiability
+    and no integrity clauses; with integrity clauses it is the
+    consistency of the database. *)
 
 type instance = {
   db : Db.t;
@@ -29,10 +31,12 @@ val infer_formula : Db.t -> Partition.t -> Formula.t -> bool
 val infer_literal : Db.t -> Partition.t -> Lit.t -> bool
 
 val has_model : Db.t -> bool
-(** True iff stratified — the O(1) consistency guarantee. *)
+(** Stratified, and consistent: O(1) without integrity clauses (the
+    paper's guarantee), one SAT call with them. *)
 
 val reference_models : Db.t -> Partition.t -> Interp.t list
 val semantics : Semantics.t
 
 val semantics_in : Ddb_engine.Engine.t -> Semantics.t
-(** Routed through the memoizing oracle engine ({!Semantics.via_engine}). *)
+(** Routed through the memoizing oracle engine ({!Semantics.via_engine});
+    the consistency call of existence is the engine's [sat] oracle. *)

@@ -3,10 +3,11 @@ open Ddb_db
 
 (* PERF — Przymusinski's Perfect Model Semantics for DNDBs.
 
-   The priority relation and the one-SAT-call perfectness check live in
+   The priority relation and the perfectness checker live in
    {!Ddb_db.Priority}.  Perfect models are minimal models (any proper
    submodel is vacuously preferable), so the Π₂ᵖ-style engines below walk
-   the minimal models lazily and screen each with the perfectness check:
+   the minimal models lazily and screen each with one SAT call on a
+   checker built once per query, on the first candidate that reaches it:
      - inference: hunt for a perfect model violating the query;
      - existence: hunt for any perfect model (for a stratified database the
        unique perfect model exists, matching the paper's consistency
@@ -15,14 +16,13 @@ open Ddb_db
 exception Found of Interp.t
 
 let find_perfect_such_that ?(pred = fun _ -> true) ?extra db =
-  let priority = Priority.compute db in
-  let check_solver = Db.solver db in
+  let checker = lazy (Priority.checker db) in
   try
     Ddb_sat.Minimal.iter_minimal ?extra (Db.theory db) (fun m ->
         if
           pred m
           && Option.is_none
-               (Priority.find_preferable ~solver:check_solver db priority m)
+               (Priority.preferable_model (Lazy.force checker) m)
         then raise (Found m)
         else `Continue);
     None

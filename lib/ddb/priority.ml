@@ -71,42 +71,42 @@ let lt t x y = Interp.mem t.lt.(x) y
 
 let higher t x = t.lt.(x)
 
-(* Is some model of [db] preferable to [m]?  One SAT call: variables n_x
-   describe the candidate N; constraints are
-     N |= DB,   N ≠ M,   and for x ∉ M:  n_x -> ∨ { ¬n_y : y ∈ M, x < y }. *)
-let find_preferable ?solver db t m =
-  let n = Db.num_vars db in
-  let solver =
-    match solver with Some s -> s | None -> Db.solver db
-  in
-  let sel = Solver.new_var solver in
-  let guard = Lit.Neg sel in
-  (* N ≠ M *)
-  Solver.add_clause solver
-    (guard
-    :: List.init n (fun x -> if Interp.mem m x then Lit.Neg x else Lit.Pos x));
-  (* swap condition per atom outside M *)
-  for x = 0 to n - 1 do
-    if not (Interp.mem m x) then begin
-      let dominators =
-        Interp.fold
-          (fun y acc -> if Interp.mem m y then Lit.Neg y :: acc else acc)
-          t.lt.(x) []
-      in
-      Solver.add_clause solver ((guard :: Lit.Neg x :: dominators))
-    end
-  done;
-  let outcome =
-    match Solver.solve ~assumptions:[ Lit.Pos sel ] solver with
-    | Solver.Unsat -> None
-    | Solver.Sat -> Some (Solver.model ~universe:n solver)
-  in
-  Solver.add_clause solver [ Lit.Neg sel ];
-  outcome
+(* The perfectness checker: one solver per database that answers "is some
+   model N preferable to M?" for any M with one SAT call and no new clause.
+   Variables 0..n-1 are the atoms of N, so the database clauses go in as
+   they are; the shadow atom m_x = n + x is pinned to M by the assumptions
+   of each call, and d_y = 2n + y marks y ∈ M∖N.  Clauses:
+     N |= DB;   d_y → m_y ∧ ¬n_y;   ∨ d_y;
+     for every x:  ¬n_x ∨ m_x ∨ ∨ { d_y : x < y },
+   the last saying that each x ∈ N∖M has some y ∈ M∖N above it.  Under
+   that constraint N ≠ M is M∖N ≠ ∅ (were M∖N empty, N∖M would have to be
+   too), so ∨ d_y states N ≠ M without a difference variable per atom. *)
+type checker = { universe : int; solver : Solver.t }
 
-let is_perfect ?priority db m =
-  let t = match priority with Some t -> t | None -> compute db in
-  Db.satisfied_by m db && Option.is_none (find_preferable db t m)
+let checker db =
+  let t = compute db in
+  let n = Db.num_vars db in
+  let m x = n + x and d y = (2 * n) + y in
+  let solver = Solver.create ~num_vars:(3 * n) () in
+  List.iter (Solver.add_clause solver) (Db.to_cnf db);
+  for x = 0 to n - 1 do
+    Solver.add_clause solver [ Lit.Neg (d x); Lit.Pos (m x) ];
+    Solver.add_clause solver [ Lit.Neg (d x); Lit.Neg x ];
+    Solver.add_clause solver
+      (Lit.Neg x :: Lit.Pos (m x)
+      :: Interp.fold (fun y acc -> Lit.Pos (d y) :: acc) t.lt.(x) [])
+  done;
+  Solver.add_clause solver (List.init n (fun y -> Lit.Pos (d y)));
+  { universe = n; solver }
+
+let preferable_model c m =
+  let n = c.universe in
+  match Solver.solve ~assumptions:(Minimal.pin ~offset:n n m) c.solver with
+  | Solver.Unsat -> None
+  | Solver.Sat -> Some (Solver.model ~universe:n c.solver)
+
+let is_perfect db m =
+  Db.satisfied_by m db && Option.is_none (preferable_model (checker db) m)
 
 (* Reference check on explicit model lists (small universes). *)
 let preferable t ~candidate ~over =
@@ -126,10 +126,9 @@ let brute_perfect_models db =
     models
 
 (* All perfect models via minimal-model enumeration + the SAT check
-   (perfect ⊆ minimal). *)
+   (perfect ⊆ minimal).  The checker is built on the first candidate. *)
 let perfect_models ?limit ?truncated db =
-  let t = compute db in
-  let check_solver = Db.solver db in
+  let c = lazy (checker db) in
   List.filter
-    (fun m -> Option.is_none (find_preferable ~solver:check_solver db t m))
+    (fun m -> Option.is_none (preferable_model (Lazy.force c) m))
     (Models.minimal_models ?limit ?truncated db)

@@ -57,6 +57,14 @@ let find_below solver part m =
 
 let is_minimal_with solver part m = Option.is_none (find_below solver part m)
 
+(* Assumptions fixing solver variable [offset + x] to the value of atom x in
+   [m], for x < n.  The check solvers of CIRC, PERF and DSM encode their
+   test once over a copy of the universe and pin it per candidate with
+   these, so each check is one solve that adds no clause. *)
+let pin ?(offset = 0) n m =
+  List.init n (fun x ->
+      if Interp.mem m x then Lit.Pos (offset + x) else Lit.Neg (offset + x))
+
 let is_minimal theory part m = is_minimal_with (solver_of theory) part m
 
 (* Descend from a model to a minimal model below it.  Terminates because

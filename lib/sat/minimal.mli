@@ -18,6 +18,13 @@ val is_minimal_with : Solver.t -> Partition.t -> Interp.t -> bool
 val is_minimal : theory -> Partition.t -> Interp.t -> bool
 (** Is the given model (P;Z)-minimal?  Exactly one SAT call. *)
 
+val pin : ?offset:int -> int -> Interp.t -> Lit.t list
+(** [pin ~offset n m]: assumptions fixing variable [offset + x] to the
+    value of atom [x] in [m], for every [x < n] (default offset 0).  The
+    shape of a check solver that encodes its test once over a copy of the
+    universe and pins the copy per candidate (CIRC's schema solver, the
+    PERF and DSM checkers). *)
+
 val minimize_with : Solver.t -> Partition.t -> Interp.t -> Interp.t
 val minimize : theory -> Partition.t -> Interp.t -> Interp.t
 (** Descend from a model to some minimal model below it. *)

@@ -153,11 +153,10 @@ let records eng = List.map (Ddb_core.Registry.in_exn eng) Ddb_core.Registry.name
 
 (* Brute-force reference answers of a registry record, [None] where its
    reference models are not the entailment base: PDSM's are three-valued
-   (it has laws of its own), and ICWA existence is the paper's O(1) "yes"
-   for every stratified database, which integrity clauses can falsify. *)
+   (it has laws of its own). *)
 let reference_has_model (s : Ddb_core.Semantics.t) db =
   let open Ddb_core.Semantics in
-  if s.name = "pdsm" || (s.name = "icwa" && Db.has_integrity db) then None
+  if s.name = "pdsm" then None
   else Some (reference_has_model s.reference_models db)
 
 let reference_infer (s : Ddb_core.Semantics.t) db f =

@@ -325,6 +325,38 @@ let qcheck_perfect_enumeration =
       Gen.interp_list_equal (Priority.perfect_models db)
         (Priority.brute_perfect_models db))
 
+(* One checker serves every candidate of a query, so a check must leave
+   nothing behind that changes a later answer: reuse a single checker over
+   every interpretation (models and non-models alike) and hold each answer
+   to the definition of N ≺ M over the explicit model list. *)
+let qcheck_perfect_checker_reused =
+  QCheck.Test.make ~count:(Gen.qcheck_count 100)
+    ~name:"one PERF checker over all interpretations = preferable reference"
+    QCheck.(pair (int_bound 99999) (int_range 1 8))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let t = Priority.compute db in
+      let c = Priority.checker db in
+      let models = Models.brute_models db in
+      let perfect = Priority.brute_perfect_models db in
+      List.for_all
+        (fun m ->
+          let expect =
+            List.exists (fun n -> Priority.preferable t ~candidate:n ~over:m)
+              models
+          in
+          match Priority.preferable_model c m with
+          | None ->
+            (not expect)
+            && (not (Db.satisfied_by m db)
+               || List.exists (Interp.equal m) perfect)
+          | Some n ->
+            Db.satisfied_by n db
+            && Priority.preferable t ~candidate:n ~over:m
+            && not (List.exists (Interp.equal m) perfect))
+        (Interp.all num_vars))
+
 (* --- Reduct --- *)
 
 let reduct_suite =
@@ -369,6 +401,10 @@ let suites =
     ("db.priority", priority_suite);
     ( "db.priority.properties",
       List.map QCheck_alcotest.to_alcotest
-        [ qcheck_perfect_sat_check_matches_brute; qcheck_perfect_enumeration ] );
+        [
+          qcheck_perfect_sat_check_matches_brute;
+          qcheck_perfect_enumeration;
+          qcheck_perfect_checker_reused;
+        ] );
     ("db.reduct", reduct_suite);
   ]

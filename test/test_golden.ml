@@ -127,9 +127,12 @@ let golden () =
   let actual = semantics_rows () @ oracle_rows () in
   Alcotest.(check int) "row count" (List.length Golden_table.rows)
     (List.length actual);
-  List.iter2
-    (fun expect got -> Alcotest.(check string) "ablation row" expect got)
-    Golden_table.rows actual
+  (* Every mismatched row at once, as (expected, actual). *)
+  Alcotest.(check (list (pair string string)))
+    "mismatched ablation rows" []
+    (List.filter
+       (fun (expect, got) -> not (String.equal expect got))
+       (List.combine Golden_table.rows actual))
 
 let suites =
   [

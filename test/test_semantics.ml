@@ -222,6 +222,29 @@ let dsm_unit =
           (Gen.interp_list_equal (Dsm.stable_models db) [ i [ 1 ] ]));
   ]
 
+(* The stability checker against the definitional reduct check, one
+   checker reused over every interpretation: M = ∅, non-models (M ⊭ DB^M)
+   and models alike.  Both must also make the same number of SAT calls —
+   the checker skips its solve exactly where the reduct path does. *)
+let qcheck_dsm_checker_reused =
+  QCheck.Test.make ~count:(Gen.qcheck_count 100)
+    ~name:"one DSM checker over all interpretations = reduct is_stable"
+    QCheck.(pair (int_bound 99999) (int_range 1 8))
+    (fun (seed, num_vars) ->
+      let rand = Random.State.make [| seed |] in
+      let db = Gen.dndb rand ~num_vars ~num_clauses:(num_vars * 2) in
+      let c = Dsm.checker db in
+      let counted f =
+        let before = Ddb_sat.Stats.snapshot () in
+        let r = f () in
+        (r, (Ddb_sat.Stats.delta before).Ddb_sat.Stats.sat)
+      in
+      List.for_all
+        (fun m ->
+          counted (fun () -> Dsm.is_stable_with c m)
+          = counted (fun () -> Dsm.is_stable db m))
+        (Interp.all num_vars))
+
 let pdsm_unit =
   [
     Alcotest.test_case "odd loop: a undefined" `Quick (fun () ->
@@ -246,6 +269,15 @@ let icwa_unit =
     Alcotest.test_case "stratified consistency is O(1)" `Quick (fun () ->
         check "yes" true (Icwa.has_model (Db.of_string "b. a :- not b."));
         check "no (unstratified)" false (Icwa.has_model (Db.of_string "a :- not a.")));
+    Alcotest.test_case "integrity clauses can empty ICWA" `Quick (fun () ->
+        (* Stratified, but the integrity clause excludes every model. *)
+        let db = Db.of_string "a | b. c :- not a. :- c. :- a." in
+        let s = Registry.in_exn eng "icwa" in
+        check "no model" false (Icwa.has_model db);
+        check "engine: no model" false (s.Semantics.has_model db);
+        check "reference: no model" true (Icwa.semantics.Semantics.reference_models db = []);
+        check "consistent: model" true
+          (s.Semantics.has_model (Db.of_string "a | b. c :- not a. :- a.")));
     Alcotest.test_case "icwa on b :- not a infers b" `Quick (fun () ->
         let db = Db.of_string "b :- not a." in
         let vocab = Db.vocab db in
@@ -479,6 +511,8 @@ let suites =
           qcheck_icwa_captures_perf;
         ] );
     ("semantics.dsm", dsm_unit);
+    ( "semantics.dsm.properties",
+      [ QCheck_alcotest.to_alcotest qcheck_dsm_checker_reused ] );
     ("semantics.pdsm", pdsm_unit);
     ( "semantics.pdsm.properties",
       List.map QCheck_alcotest.to_alcotest
